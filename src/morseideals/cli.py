@@ -383,6 +383,22 @@ def _add_source_arguments(parser, with_order2=False):
     parser.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
 
 
+def _int_at_least(low: int):
+    """argparse ``type=`` for integers of at least ``low``; anything else is
+    a usage error (exit code 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="morseideals",
@@ -420,16 +436,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     flist = sub.add_parser("friendly-list", help="orders under which the ideal is bridge-friendly")
     _add_source_arguments(flist)
-    flist.add_argument("--workers", type=int, default=1)
+    flist.add_argument("--workers", type=_int_at_least(1), default=1)
     flist.add_argument("--force", action="store_true", help="ignore the n! search guard")
     flist.set_defaults(func=_cmd_friendly_list)
 
     msearch = sub.add_parser("minimal-search", help="search orders for minimal pairing ranks")
     _add_source_arguments(msearch)
     msearch.add_argument("--mode", choices=("first-hit", "exhaustive"), default="first-hit")
-    msearch.add_argument("--workers", type=int, default=1)
+    msearch.add_argument("--workers", type=_int_at_least(1), default=1)
     msearch.add_argument("--force", action="store_true", help="ignore the n! search guard")
-    msearch.add_argument("--limit", type=int, default=None, help="cap the number of orders tried")
+    msearch.add_argument(
+        "--limit", type=_int_at_least(0), default=None, help="cap the number of orders tried"
+    )
     msearch.set_defaults(func=_cmd_minimal_search)
 
     gen = sub.add_parser("gen", help="emit ideal files for built-in families")

@@ -22,12 +22,14 @@ def exact_rank(matrix) -> int:
     exact in integer arithmetic; Python integers keep them exact at any size.
     """
     rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
+    if not rows:
         return 0
     ncols = len(rows[0])
     for r in rows:
         if len(r) != ncols:
             raise ValueError("ragged matrix")
+    if not ncols:
+        return 0
     nrows = len(rows)
     rank = 0
     prev = 1
@@ -106,24 +108,77 @@ def betti_numbers(tc: TaylorComplex) -> BettiTable:
     return BettiTable(tuple(totals), multigraded)
 
 
-def _unit_coefficient_matrix(matrix) -> list[list[int]]:
-    # tensoring with the residue field keeps entries whose monomial factor is 1
-    dense = [[0] * len(matrix.cols) for _ in matrix.rows]
-    for (r, c), entry in matrix.entries.items():
-        if entry.monomial_factor.is_one():
-            dense[r][c] = entry.coefficient
-    return dense
+def sparse_rank(entries) -> int:
+    """Exact rank of a sparse integer matrix given as ``{(row, col): value}``.
+
+    Rows and columns are the two sides of a bipartite graph whose edges are
+    the nonzero entries.  Permuting rows and columns by connected component
+    makes the matrix block diagonal, and the rank of a block-diagonal matrix
+    is the sum of its block ranks, so each component is ranked on its own
+    small dense block.
+    """
+    parent: list[int] = []
+    row_node: dict = {}
+    col_node: dict = {}
+
+    def node(index: dict, key) -> int:
+        got = index.get(key)
+        if got is None:
+            got = index[key] = len(parent)
+            parent.append(got)
+        return got
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    nonzero = []
+    for (r, c), value in entries.items():
+        if value:
+            a = find(node(row_node, r))
+            b = find(node(col_node, c))
+            if a != b:
+                parent[b] = a
+            nonzero.append((r, c, value))
+    blocks: dict[int, list] = {}
+    for r, c, value in nonzero:
+        blocks.setdefault(find(row_node[r]), []).append((r, c, value))
+    rank = 0
+    for block in blocks.values():
+        rows: dict = {}
+        cols: dict = {}
+        for r, c, _ in block:
+            rows.setdefault(r, len(rows))
+            cols.setdefault(c, len(cols))
+        dense = [[0] * len(cols) for _ in rows]
+        for r, c, value in block:
+            dense[rows[r]][cols[c]] = value
+        rank += exact_rank(dense)
+    return rank
 
 
 def homology_ranks(mc: MorseComplex) -> list[int]:
     """Per-degree homology dimensions of the complex tensored with the field.
 
     For a complex that resolves R/I these equal the total Betti numbers, no
-    matter which matching produced it.
+    matter which matching produced it.  Tensoring keeps the entries whose
+    monomial factor is 1; each boundary matrix is then ranked block by block
+    through :func:`sparse_rank`.  The blocks are the connected components of
+    the nonzero entries, not the lcm labels of the cells: this is a check of
+    the complex, so it must not trust the monomial factors it is checking.
     """
     dims = [len(b) for b in mc.basis]
     boundary_rank = [0] * (len(dims) + 1)
     for i, matrix in enumerate(mc.differentials, start=1):
-        if matrix.rows and matrix.cols:
-            boundary_rank[i] = exact_rank(_unit_coefficient_matrix(matrix))
+        boundary_rank[i] = sparse_rank(
+            {
+                key: entry.coefficient
+                for key, entry in matrix.entries.items()
+                if entry.monomial_factor.is_one()
+            }
+        )
     return [dims[i] - boundary_rank[i] - boundary_rank[i + 1] for i in range(len(dims))]

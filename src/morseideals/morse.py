@@ -13,6 +13,7 @@ sign; the empty path contributes 1.  The convention is validated behaviorally
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .algebra import MonomialIdeal, quotient
 from .matching import Matching, validate_matching
@@ -243,20 +244,25 @@ def verify_complex(mc: MorseComplex) -> bool:
     """Check that consecutive differentials compose to zero.
 
     Entries are expanded as coefficient times monomial factor and the
-    products are accumulated per (row, column, multidegree); every bucket
-    must cancel to zero.
+    products are accumulated per (row, column, multidegree), the multidegree
+    being the summed exponent vectors of the two factors; every bucket must
+    cancel to zero.
     """
     for low, high in zip(mc.differentials, mc.differentials[1:]):
         if low.cols != high.rows:
             raise AssertionError("differential bases are misaligned")
         low_by_mid: dict[int, list] = {}
         for (r, mid), entry in low.entries.items():
-            low_by_mid.setdefault(mid, []).append((r, entry))
+            low_by_mid.setdefault(mid, []).append(
+                (r, entry.coefficient, entry.monomial_factor.exponents)
+            )
         acc: dict = {}
         for (mid, c), high_entry in high.entries.items():
-            for r, low_entry in low_by_mid.get(mid, ()):
-                key = (r, c, low_entry.monomial_factor * high_entry.monomial_factor)
-                acc[key] = acc.get(key, 0) + low_entry.coefficient * high_entry.coefficient
+            coefficient = high_entry.coefficient
+            exponents = high_entry.monomial_factor.exponents
+            for r, low_coefficient, low_exponents in low_by_mid.get(mid, ()):
+                key = (r, c, tuple(map(add, low_exponents, exponents)))
+                acc[key] = acc.get(key, 0) + low_coefficient * coefficient
         if any(acc.values()):
             return False
     return True

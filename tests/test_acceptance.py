@@ -5,6 +5,7 @@ a failure raises normally.  The long cycle searches are marked slow and run
 with ``pytest -m slow``.
 """
 
+import json
 import math
 import random
 import time
@@ -39,6 +40,7 @@ from morseideals import (
     validate_matching,
     verify_complex,
 )
+from morseideals.cli import main
 from morseideals.families import SplitMix64
 from morseideals.matching import PossibleEdge, _possible_edges_in_order, _resolve_duplicate_targets
 from conftest import naive_rank
@@ -209,6 +211,18 @@ def test_criterion_8_c10_first_hit_budget():
         rtc = build_taylor(reordered)
         assert tuple(ranks(morse_differential(rtc, bm_matching(rtc)))) == result.ranks
         assert result.ranks == betti_numbers(rtc).totals
+
+
+@pytest.mark.slow
+def test_criterion_8_c12_check_every_kind(capsys):
+    with criterion(8, "C12 check, every kind against the oracle"):
+        assert main(["check", "--cycle", "12", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True
+        assert payload["betti_totals"] == [1, 12, 54, 124, 165, 132, 58, 12, 2, 0, 0, 0, 0]
+        assert [entry["kind"] for entry in payload["results"]] == [
+            "bm", "lyubeznik", "trimmed", "empty"
+        ]
 
 
 def test_criterion_9_property_suite(corpus):

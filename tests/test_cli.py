@@ -226,6 +226,31 @@ def test_usage_errors_exit_2():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("minimal-search", "-i", RUN4, "--workers", "0"), "--workers: must be at least 1, got 0"),
+        (("minimal-search", "-i", RUN4, "--workers", "-3"), "--workers: must be at least 1, got -3"),
+        (("friendly-list", "-i", RUN4, "--workers", "0"), "--workers: must be at least 1, got 0"),
+        (("minimal-search", "-i", RUN4, "--limit", "-5"), "--limit: must be at least 0, got -5"),
+        (("minimal-search", "-i", RUN4, "--limit", "many"), "--limit: invalid integer 'many'"),
+    ],
+)
+def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_zero_limit_tries_no_orders(capsys):
+    code, out = run_cli(capsys, "minimal-search", "-i", RUN4, "--limit", "0")
+    assert code == 0
+    assert out == "no order found (tried 0 of 24)\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "morseideals", "bm", "ranks", "-i", RUN4],

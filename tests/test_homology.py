@@ -1,9 +1,13 @@
+import pytest
+
 from morseideals import (
+    Matching,
     MonomialIdeal,
     VariableContext,
     betti_numbers,
     bm_matching,
     build_taylor,
+    critical_family,
     cycle_edge_ideal,
     exact_rank,
     homology_ranks,
@@ -16,6 +20,7 @@ from morseideals import (
     trimmed_matching,
 )
 from morseideals.families import SplitMix64
+from morseideals.homology import sparse_rank
 from conftest import corpus_ideals, naive_rank
 
 
@@ -24,7 +29,12 @@ def test_exact_rank_basics():
     assert exact_rank([[0, 0], [0, 0]]) == 0
     assert exact_rank([[1, 1], [1, 1]]) == 1
     assert exact_rank([]) == 0
+    assert exact_rank([[]]) == 0
     assert exact_rank([[0, 3, 0], [0, 0, 0], [0, 6, 1]]) == 2
+    with pytest.raises(ValueError, match="ragged"):
+        exact_rank([[], [1]])
+    with pytest.raises(ValueError, match="ragged"):
+        exact_rank([[1, 2], [1]])
 
 
 def test_exact_rank_against_rational_oracle():
@@ -92,3 +102,90 @@ def test_taylor_homology_equals_betti_on_corpus():
     for ideal in corpus_ideals(25):
         tc = build_taylor(ideal)
         assert homology_ranks(taylor_chain_complex(tc)) == list(betti_numbers(tc).totals)
+
+
+def _shuffled(rng, items):
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def test_sparse_rank_scattered_blocks():
+    rng = SplitMix64(7)
+    for _ in range(40):
+        blocks = []
+        for _ in range(1 + rng.below(5)):
+            nrows = 1 + rng.below(5)
+            ncols = 1 + rng.below(5)
+            blocks.append([[rng.below(5) - 2 for _ in range(ncols)] for _ in range(nrows)])
+        nrows = sum(len(b) for b in blocks)
+        ncols = sum(len(b[0]) for b in blocks)
+        # block k sits on the next free rows and columns, then both are permuted
+        row_of = _shuffled(rng, range(nrows))
+        col_of = _shuffled(rng, range(ncols))
+        entries = {}
+        r0 = c0 = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                for j, value in enumerate(row):
+                    entries[(row_of[r0 + i], col_of[c0 + j])] = value
+            r0 += len(block)
+            c0 += len(block[0])
+        dense = [[0] * ncols for _ in range(nrows)]
+        for (r, c), value in entries.items():
+            dense[r][c] = value
+        assert sparse_rank(entries) == naive_rank(dense)
+        assert sparse_rank(entries) == sum(naive_rank(b) for b in blocks)
+
+
+def test_sparse_rank_follows_components_not_labels():
+    # columns 0, 1 carry one label and columns 2, 3 another; row 2 links the
+    # two groups, so ranking per label (2 + 2) would overcount the true rank
+    dense = [
+        [1, 1, 0, 0],
+        [0, 0, 1, 1],
+        [0, 1, 1, 0],
+    ]
+    entries = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
+    by_label = naive_rank([row[:2] for row in dense]) + naive_rank([row[2:] for row in dense])
+    assert by_label == 4
+    assert sparse_rank(entries) == naive_rank(dense) == 3
+
+
+def test_sparse_rank_empty_and_zero_entries():
+    assert sparse_rank({}) == 0
+    assert sparse_rank({(0, 0): 0, (3, 5): 0}) == 0
+    # an explicit zero must not tie two blocks together or count as a pivot
+    assert sparse_rank({(0, 0): 2, (0, 1): 0, (1, 1): 0, (1, 2): -1}) == 2
+
+
+def _check_complexes(tc):
+    """The complexes of the four ``check`` kinds, built as the CLI builds them."""
+    yield morse_differential(tc, bm_matching(tc))
+    yield morse_differential(tc, lyubeznik_matching(tc))
+    family = critical_family(tc, lyubeznik_matching(tc))
+    yield morse_differential(tc, trimmed_matching(tc, tuple(range(tc.n))), family)
+    yield morse_differential(tc, Matching.from_pairs(()))
+
+
+def _dense_homology_ranks(mc):
+    dims = [len(b) for b in mc.basis]
+    boundary_rank = [0] * (len(dims) + 1)
+    for i, matrix in enumerate(mc.differentials, start=1):
+        dense = [[0] * len(matrix.cols) for _ in matrix.rows]
+        for (r, c), entry in matrix.entries.items():
+            if entry.monomial_factor.is_one():
+                dense[r][c] = entry.coefficient
+        boundary_rank[i] = exact_rank(dense)
+    return [dims[i] - boundary_rank[i] - boundary_rank[i + 1] for i in range(len(dims))]
+
+
+def test_homology_ranks_match_dense_ranks(run4, ex56):
+    ideals = [cycle_edge_ideal(n) for n in range(3, 9)] + [run4, ex56]
+    for ideal in ideals:
+        tc = build_taylor(ideal)
+        totals = list(betti_numbers(tc).totals)
+        for mc in _check_complexes(tc):
+            assert homology_ranks(mc) == _dense_homology_ranks(mc) == totals

@@ -103,15 +103,14 @@ def test_morse_family_closure_checked(run4):
         morse_differential(tc, Matching.from_pairs(()), family=[0, 0b0011])
 
 
-def test_verify_complex_detects_flipped_sign(run4):
-    tc = build_taylor(run4)
-    mc = taylor_chain_complex(tc)
-    assert verify_complex(mc)
+def _with_first_entry(mc, change):
+    """``mc`` with the first entry of its degree-2 differential replaced by
+    ``change(entry)``."""
     target = mc.differentials[1]
     (key, entry), *_ = sorted(target.entries.items())
     mutated_entries = dict(target.entries)
-    mutated_entries[key] = DifferentialEntry(-entry.coefficient, entry.monomial_factor)
-    mutated = MorseComplex(
+    mutated_entries[key] = change(entry)
+    return MorseComplex(
         mc.ideal,
         mc.basis,
         (
@@ -119,6 +118,23 @@ def test_verify_complex_detects_flipped_sign(run4):
             DifferentialMatrix(target.rows, target.cols, mutated_entries),
             *mc.differentials[2:],
         ),
+    )
+
+
+def test_verify_complex_detects_flipped_sign(run4):
+    mc = taylor_chain_complex(build_taylor(run4))
+    assert verify_complex(mc)
+    mutated = _with_first_entry(
+        mc, lambda entry: DifferentialEntry(-entry.coefficient, entry.monomial_factor)
+    )
+    assert not verify_complex(mutated)
+
+
+def test_verify_complex_detects_wrong_monomial_factor(run4):
+    mc = taylor_chain_complex(build_taylor(run4))
+    w = run4.context.monomial("w")
+    mutated = _with_first_entry(
+        mc, lambda entry: DifferentialEntry(entry.coefficient, entry.monomial_factor * w)
     )
     assert not verify_complex(mutated)
 
