@@ -5,17 +5,38 @@ A permutation ``perm`` places generator ``perm[p]`` at position ``p``
 and bridge sets do not depend on the order, so one precomputed bridge table
 serves every permutation; only the choice of smallest bridge changes.
 
+Every order is decided by one kernel, :func:`_sweep`, over bitsets indexed
+by cell mask: bit ``c`` of an ``int`` stands for cell ``c``.  The payload
+holds, for each cardinality ``k >= 3`` and each generator ``g``, the bitset
+``rows[k][g]`` of the k-cells that have ``g`` as a bridge, and the union
+``levels[k]`` of these rows.  The sweep goes through the levels
+``k = n .. 3``.  The live k-cells are those with a bridge that no larger
+cell has taken as its target.  Going through the generators in the order's
+positions, the cells ``S`` among them that have ``g`` as a bridge have ``g``
+as their smallest bridge; they leave the live set, and their targets, the
+cells minus ``g``, are the bitset ``S >> 2**g``.  A target that is met twice
+at a level is a discard of step (3), so the order is not bridge-friendly.
+Each target keeps one edge, so the critical cells of cardinality k number
+``C(n, k) - |targets[k - 1]| - |targets[k]|``.  Both target sets are final
+once level k is swept, since lower levels only add targets below k - 1; the
+minimal search may therefore drop an order at the first level whose count
+differs from the Betti total without changing any result.
+
 Work is split into contiguous chunks of the lexicographic permutation stream
-and may run on several processes.  Results are merged in chunk order, which
-makes every output independent of the worker count and of the chunk size.
-Progress (orders tried / total) goes to standard error when requested.
+and may run on several processes.  Each chunk starts at the permutation
+unranked from its first index and continues in lexicographic order.  Results
+are merged in chunk order, which makes every output independent of the
+worker count and of the chunk size.  Progress (orders tried / total) goes to
+standard error when requested.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import multiprocessing
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterator
@@ -27,13 +48,46 @@ from .taylor import build_taylor
 
 ORDER_SEARCH_GUARD = 10
 
-# per-process payload installed by the pool initializer
+# per-process payload installed by the pool initializer, and in pool
+# workers the event that tells them the search has stopped
 _WORK = None
+_STOP = None
 
 
 def enumerate_orders(n: int) -> Iterator[tuple[int, ...]]:
     """All permutations of 0..n-1 in lexicographic order."""
     return itertools.permutations(range(n))
+
+
+def _unrank(n: int, index: int) -> tuple[int, ...]:
+    """The permutation at ``index`` of the lexicographic stream, from its Lehmer code."""
+    pool = list(range(n))
+    out = []
+    for m in range(n - 1, -1, -1):
+        digit, index = divmod(index, math.factorial(m))
+        out.append(pool.pop(digit))
+    return tuple(out)
+
+
+def _orders_from(prefix: tuple[int, ...], perm: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """``prefix + q`` for every permutation ``q`` of ``perm``'s entries that
+    is lexicographically at least ``perm``, in lexicographic order."""
+    if not perm:
+        yield prefix
+        return
+    head = perm[0]
+    yield from _orders_from(prefix + (head,), perm[1:])
+    pool = sorted(perm)
+    for first in pool:
+        if first > head:
+            lead = prefix + (first,)
+            for rest in itertools.permutations([x for x in pool if x != first]):
+                yield lead + rest
+
+
+def _chunk_orders(n: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
+    """Orders ``start .. stop - 1`` of the lexicographic stream."""
+    return itertools.islice(_orders_from((), _unrank(n, start)), stop - start)
 
 
 def _check_guard(n: int, force: bool) -> None:
@@ -44,6 +98,11 @@ def _check_guard(n: int, force: bool) -> None:
         )
 
 
+def _check_at_least(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def _chunk_bounds(total: int, chunk: int) -> list[tuple[int, int]]:
     return [(s, min(total, s + chunk)) for s in range(0, total, chunk)]
 
@@ -51,95 +110,95 @@ def _chunk_bounds(total: int, chunk: int) -> list[tuple[int, int]]:
 def _chunk_size(total: int, workers: int) -> int:
     if total <= 1:
         return 1
-    return max(256, min(20000, total // (max(workers, 1) * 16) or total))
+    return max(256, min(20000, total // (workers * 16) or total))
 
 
 def _payload(tc, target_ranks):
+    """``(n, rows, levels, counts, target)`` for :func:`_sweep`."""
     n = tc.n
-    bridge_bits = tuple(tc.bridge_table())
-    cells = sorted((c for c in range(1 << n) if c.bit_count() >= 3), key=lambda c: -c.bit_count())
-    cards = tuple(c.bit_count() for c in range(1 << n))
+    rows = [[0] * n for _ in range(n + 1)]
+    for cell, bridges in enumerate(tc.bridge_table()):
+        k = cell.bit_count()
+        if k >= 3:
+            bit = 1 << cell
+            for g in bridges:
+                rows[k][g] |= bit
+    levels = tuple(functools.reduce(operator.or_, row, 0) for row in rows)
     counts = tuple(math.comb(n, k) for k in range(n + 1))
-    return (n, tuple(cells), bridge_bits, cards, counts, target_ranks)
+    return (n, tuple(map(tuple, rows)), levels, counts, target_ranks)
 
 
-def _init_worker(payload) -> None:
-    global _WORK
-    _WORK = payload
+def _init_worker(payload, stop=None) -> None:
+    global _WORK, _STOP
+    _WORK, _STOP = payload, stop
 
 
-def _smallest_bridge_at(bits, pos):
-    sb = bits[0]
-    if len(bits) > 1:
-        best = pos[sb]
-        for b in bits[1:]:
-            p = pos[b]
-            if p < best:
-                best = p
-                sb = b
-    return sb
+def _pool_chunk(task):
+    """Run one chunk in a pool worker, unless the search has stopped."""
+    worker, bounds = task
+    return None if _STOP.is_set() else worker(bounds)
+
+
+def _sweep(perm, work, friendly_only=False):
+    """Bridge-pair the Taylor cells under one order; see the module docstring.
+
+    Returns ``(ranks, friendly)``: the critical cells per cardinality and
+    whether no possible edge is discarded.  Returns None as soon as the
+    order is known to fail: when the payload carries a target and a level's
+    count differs from it, or, with ``friendly_only``, at the first
+    duplicate target.
+    """
+    n, rows, levels, counts, target = work
+    ranks = list(counts)
+    friendly = True
+    below = 0  # targets in level k, picked by the sweep of level k + 1
+    paired = 0  # their number
+    for k in range(n, 2, -1):
+        live = levels[k] & ~below
+        row = rows[k]
+        found = 0
+        for g in perm:
+            hit = live & row[g]
+            if hit:
+                live ^= hit
+                hit >>= 1 << g
+                if found & hit:
+                    if friendly_only:
+                        return None
+                    friendly = False
+                found |= hit
+                if not live:
+                    break
+        ranks[k] -= paired  # k-cells taken as targets
+        below, paired = found, found.bit_count()
+        ranks[k] -= paired  # k-cells that are sources
+        if target is not None and ranks[k] != target[k]:
+            return None
+    if paired:
+        ranks[2] -= paired
+    ranks = tuple(ranks)
+    if target is not None and ranks != target:
+        return None
+    return ranks, friendly
 
 
 def _scan_friendly_chunk(bounds: tuple[int, int]) -> list[tuple[int, ...]]:
     """Permutations in the chunk whose bridge pairing loses no edge."""
-    start, stop = bounds
-    n, cells, bridge_bits, _, _, _ = _WORK
-    hits = []
-    pos = [0] * n
-    for perm in itertools.islice(itertools.permutations(range(n)), start, stop):
-        for position, gen in enumerate(perm):
-            pos[gen] = position
-        removed = set()
-        targets = set()
-        friendly = True
-        for s in cells:
-            if s in removed:
-                continue
-            bits = bridge_bits[s]
-            if not bits:
-                continue
-            t = s ^ (1 << _smallest_bridge_at(bits, pos))
-            if t in targets:
-                friendly = False  # a duplicate target forces a step-3 removal
-                break
-            targets.add(t)
-            removed.add(t)
-        if friendly:
-            hits.append(perm)
-    return hits
+    work = _WORK
+    return [
+        perm
+        for perm in _chunk_orders(work[0], *bounds)
+        if _sweep(perm, work, friendly_only=True) is not None
+    ]
 
 
 def _scan_minimal_chunk(bounds: tuple[int, int]):
     """First permutation in the chunk whose pairing ranks hit the target."""
-    start, stop = bounds
-    n, cells, bridge_bits, cards, counts, target = _WORK
-    pos = [0] * n
-    for index, perm in enumerate(
-        itertools.islice(itertools.permutations(range(n)), start, stop), start
-    ):
-        for position, gen in enumerate(perm):
-            pos[gen] = position
-        removed = set()
-        best: dict[int, tuple[int, int]] = {}
-        for s in cells:
-            if s in removed:
-                continue
-            bits = bridge_bits[s]
-            if not bits:
-                continue
-            sb = _smallest_bridge_at(bits, pos)
-            p = pos[sb]
-            t = s ^ (1 << sb)
-            removed.add(t)
-            cur = best.get(t)
-            if cur is None or p < cur[0]:
-                best[t] = (p, s)
-        ranks = list(counts)
-        for t, (_, s) in best.items():
-            ranks[cards[s]] -= 1
-            ranks[cards[t]] -= 1
-        if tuple(ranks) == target:
-            return (index, perm, tuple(ranks))
+    work = _WORK
+    for index, perm in enumerate(_chunk_orders(work[0], *bounds), bounds[0]):
+        swept = _sweep(perm, work)
+        if swept is not None:
+            return (index, perm, swept[0])
     return None
 
 
@@ -147,8 +206,9 @@ def _run_chunks(worker, bounds_list, workers, progress, total, stop_early):
     """Drive chunks in order; yield (bounds, result) pairs.
 
     With ``stop_early`` the iteration ends at the first chunk whose result is
-    truthy; later chunks may already be in flight but are discarded, so the
-    reported outcome only depends on the lexicographic stream.
+    truthy; later chunks that a worker has already started are discarded and
+    the others are skipped, so the reported outcome only depends on the
+    lexicographic stream.
     """
     done = 0
 
@@ -165,14 +225,21 @@ def _run_chunks(worker, bounds_list, workers, progress, total, stop_early):
             if stop_early and result:
                 return
         return
-    with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(_WORK,)) as pool:
-        for bounds, result in zip(bounds_list, pool.imap(worker, bounds_list)):
+    stop = multiprocessing.Event()
+    with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(_WORK, stop)) as pool:
+        tasks = [(worker, bounds) for bounds in bounds_list]
+        for bounds, result in zip(bounds_list, pool.imap(_pool_chunk, tasks)):
             done = bounds[1]
             report()
             yield bounds, result
             if stop_early and result:
-                pool.terminate()
-                return
+                break
+        # the workers exit on their own, after the chunk they are on:
+        # terminating the pool may kill one while it writes a result, which
+        # leaves the result queue locked and the shutdown hung
+        stop.set()
+        pool.close()
+        pool.join()
 
 
 def bridge_friendly_list(
@@ -187,6 +254,7 @@ def bridge_friendly_list(
     each matching is the bridge pairing of the reordered ideal, expressed in
     the reordered indexing.
     """
+    _check_at_least("workers", workers, 1)
     n = ideal.n
     _check_guard(n, force)
     total = math.factorial(n)
@@ -223,14 +291,18 @@ def bridge_minimal_search(
 
     ``first-hit`` stops at the lexicographically least witness; ``exhaustive``
     scans every order (still reporting the least witness, if any).  ``limit``
-    caps the number of orders examined.
+    caps the number of orders examined.  A ``limit`` that is negative or not
+    an integer, or ``workers`` below 1, raises ValueError.
     """
     if mode not in ("first-hit", "exhaustive"):
         raise ValueError(f"unknown search mode {mode!r}")
+    _check_at_least("workers", workers, 1)
+    if limit is not None:
+        _check_at_least("limit", limit, 0)
     n = ideal.n
     _check_guard(n, force)
     total = math.factorial(n)
-    cap = total if limit is None else max(0, min(total, limit))
+    cap = total if limit is None else min(total, limit)
     tc = build_taylor(ideal)
     target = tuple(betti_numbers(tc).totals)
     _init_worker(_payload(tc, target))

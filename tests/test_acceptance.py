@@ -214,6 +214,17 @@ def test_criterion_8_c10_first_hit_budget():
 
 
 @pytest.mark.slow
+def test_criterion_8_c10_exhaustive_row():
+    with criterion(8, "Table 1 extended row (C10, all 10! orders)"):
+        c10 = cycle_edge_ideal(10)
+        first = bridge_minimal_search(c10, workers=WORKERS, limit=50000)
+        result = bridge_minimal_search(c10, mode="exhaustive", workers=WORKERS)
+        assert result.orders_tried == math.factorial(10) == 3628800
+        assert result.order == first.order == (0, 2, 1, 4, 6, 5, 8, 7, 3, 9)
+        assert result.ranks == first.ranks == (1, 10, 35, 60, 55, 30, 10, 1, 0, 0, 0)
+
+
+@pytest.mark.slow
 def test_criterion_8_c12_check_every_kind(capsys):
     with criterion(8, "C12 check, every kind against the oracle"):
         assert main(["check", "--cycle", "12", "--json"]) == 0

@@ -1,9 +1,10 @@
-import itertools
 import math
+import multiprocessing.process
 
 import pytest
 
 from morseideals import (
+    betti_numbers,
     bm_matching,
     bridge_friendly_list,
     bridge_minimal_search,
@@ -12,9 +13,11 @@ from morseideals import (
     edge_ideal,
     enumerate_orders,
     is_bridge_friendly,
+    parse_ideal,
 )
 from morseideals.families import SimpleGraph
-from morseideals.search import _chunk_bounds
+from morseideals.search import _chunk_bounds, _chunk_orders, _payload, _sweep, _unrank
+from conftest import corpus_ideals
 
 
 def test_enumerate_orders_lexicographic():
@@ -29,20 +32,23 @@ def test_enumerate_orders_lexicographic():
     assert list(enumerate_orders(0)) == [()]
 
 
+def test_unrank_matches_the_stream():
+    for n in range(7):
+        for index, perm in enumerate(enumerate_orders(n)):
+            assert _unrank(n, index) == perm
+
+
 def test_chunks_partition_the_stream():
-    total = math.factorial(5)
-    stream = list(enumerate_orders(5))
-    for chunk in (1, 7, 50, 200):
-        bounds = _chunk_bounds(total, chunk)
-        assert bounds[0][0] == 0 and bounds[-1][1] == total
-        # each worker re-slices a fresh lexicographic stream; the chunks
-        # glued back together must reproduce it exactly
-        rebuilt = [
-            p
-            for start, stop in bounds
-            for p in itertools.islice(enumerate_orders(5), start, stop)
-        ]
-        assert rebuilt == stream
+    for n in (5, 6):
+        total = math.factorial(n)
+        stream = list(enumerate_orders(n))
+        for chunk in (1, 7, 50, 200):
+            bounds = _chunk_bounds(total, chunk)
+            assert bounds[0][0] == 0 and bounds[-1][1] == total
+            # each chunk starts from its own unranked permutation; the chunks
+            # glued back together must reproduce the lexicographic stream
+            rebuilt = [p for start, stop in bounds for p in _chunk_orders(n, start, stop)]
+            assert rebuilt == stream
 
 
 def test_triangle_friendly_catalog(tri):
@@ -98,6 +104,20 @@ def test_minimal_search_limit(run4):
     assert capped.orders_total == math.factorial(5)
 
 
+@pytest.mark.parametrize("limit", [-1, -5, 2.0, "3", True])
+def test_minimal_search_rejects_bad_limit(tri, limit):
+    with pytest.raises(ValueError, match="limit"):
+        bridge_minimal_search(tri, limit=limit)
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, None])
+def test_searches_reject_bad_workers(tri, workers):
+    with pytest.raises(ValueError, match="workers"):
+        bridge_minimal_search(tri, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        bridge_friendly_list(tri, workers=workers)
+
+
 def test_worker_counts_do_not_change_results(tri):
     c4 = cycle_edge_ideal(4)
     c5 = cycle_edge_ideal(5)
@@ -115,6 +135,23 @@ def test_worker_counts_do_not_change_results(tri):
         )
 
 
+def test_pool_search_stops_without_killing_workers(monkeypatch):
+    # a worker killed while it writes a result leaves the result queue
+    # locked, and the pool's shutdown then hangs
+    killed = []
+    terminate = multiprocessing.process.BaseProcess.terminate
+
+    def spy(process):
+        killed.append(process.pid)
+        terminate(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate", spy)
+    result = bridge_minimal_search(cycle_edge_ideal(7), workers=2)
+    # the witness ends the first of 20 chunks
+    assert result.orders_tried == 1 and result.order is not None
+    assert killed == []
+
+
 def test_friendly_hits_verified_publicly():
     c5 = cycle_edge_ideal(5)
     pairs = bridge_friendly_list(c5)
@@ -126,3 +163,75 @@ def test_friendly_hits_verified_publicly():
         reordered = c5.reordered(perm)
         assert is_bridge_friendly(build_taylor(reordered))
         assert matching.edges == bm_matching(build_taylor(reordered)).edges
+
+
+NON_SQUAREFREE = (
+    "vars: x y z\ngens: x^2 x*y y^3 y*z^2\n",
+    # 10 of its 120 orders are not witnesses
+    "vars: x y z w\ngens: x*y*z y*z^2 x^2*y^2 x*y^2*w^2 z^2*w^2\n",
+)
+
+
+def _cross_check_ideals(tri, run4):
+    ideals = [cycle_edge_ideal(n) for n in range(3, 7)] + [tri, run4]
+    # corpus seeds 0-19 but 9, a 6-generator ideal whose every order is a
+    # witness: it would add 720 slow public-path orders and check nothing new
+    ideals += [ideal for seed, ideal in enumerate(corpus_ideals(20)) if seed != 9]
+    ideals += [parse_ideal(text) for text in NON_SQUAREFREE]
+    return ideals
+
+
+def _bm_ranks(ideal, perm):
+    """Critical cells per cardinality of the public bm matching under ``perm``."""
+    tc = build_taylor(ideal.reordered(perm))
+    touched = bm_matching(tc).touched
+    ranks = [0] * (ideal.n + 1)
+    for cell in range(1 << ideal.n):
+        if cell not in touched:
+            ranks[cell.bit_count()] += 1
+    return tuple(ranks), is_bridge_friendly(tc)
+
+
+def _least_witness(orders, ranks_of, totals):
+    return next(((i, p, ranks_of(p)) for i, p in enumerate(orders) if ranks_of(p) == totals), None)
+
+
+def _assert_search_finds(ideal, least):
+    index, perm, ranks = least
+    for mode in ("first-hit", "exhaustive"):
+        result = bridge_minimal_search(ideal, mode=mode)
+        assert (result.order, result.ranks) == (perm, ranks), (ideal, mode)
+        if index:
+            # the orders before the least witness hold none
+            none = bridge_minimal_search(ideal, mode=mode, limit=index)
+            assert (none.order, none.ranks, none.orders_tried) == (None, None, index)
+
+
+def test_sweep_agrees_with_the_public_path(tri, run4):
+    # every ideal with at most 6 generators tried so far has a witness, and
+    # mostly the identity order; an ideal with a non-witness order is also
+    # searched with its generators listed in that order, so that the search
+    # has to pass over orders without a witness first
+    relisted = 0
+    for ideal in _cross_check_ideals(tri, run4):
+        tc = build_taylor(ideal)
+        work = _payload(tc, None)
+        totals = betti_numbers(tc).totals
+        orders = list(enumerate_orders(ideal.n))
+        public = {}
+        for perm in orders:
+            ranks, friendly = _bm_ranks(ideal, perm)
+            assert _sweep(perm, work) == (ranks, friendly), (ideal, perm)
+            assert (_sweep(perm, work, friendly_only=True) is not None) == friendly
+            public[perm] = ranks
+        ranks_of = public.__getitem__
+        _assert_search_finds(ideal, _least_witness(orders, ranks_of, totals))
+        missed = [p for p in orders if ranks_of(p) != totals]
+        if missed:
+            # position i of the relisted ideal under p holds generator q[p[i]]
+            q = missed[-1]
+            least = _least_witness(orders, lambda p: ranks_of(tuple(q[x] for x in p)), totals)
+            assert least[0] > 0
+            _assert_search_finds(ideal.reordered(q), least)
+            relisted += 1
+    assert relisted >= 5
