@@ -82,7 +82,7 @@ class Monomial:
         return all(e <= 1 for e in self.exponents)
 
     def is_one(self) -> bool:
-        return self.support_mask == 0
+        return not any(self.exponents)
 
     def degree(self) -> int:
         return sum(self.exponents)

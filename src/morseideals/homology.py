@@ -1,61 +1,70 @@
 """Exact-arithmetic Betti numbers via the Taylor complex over the rationals.
 
 This module is the independent oracle the matching constructions are checked
-against: it never looks at bridges or matchings, only at lcm-preserving facet
-incidences of the Taylor complex.  The coefficient field is fixed to
-characteristic zero.
+against: it never looks at matchings or generator orders, only at
+lcm-preserving facet incidences of the Taylor complex.  The coefficient field
+is fixed to characteristic zero.  Every rank, of the oracle's blocks and of
+the differentials :func:`homology_ranks` checks, comes from one exact kernel
+on sparse integer rows, :func:`_rank_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .algebra import Monomial
 from .morse import MorseComplex
 from .taylor import TaylorComplex, incidence_sign
 
 
-def exact_rank(matrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination.
+def _rank_rows(rows) -> int:
+    """Exact rank of the integer rows, each a sparse ``{col: value}`` dict.
 
-    Intermediate entries are minors of the input, so every division below is
-    exact in integer arithmetic; Python integers keep them exact at any size.
+    Each row is reduced against the pivot rows found so far, lowest column
+    first, until it is zero or its lowest column has no pivot yet; then it
+    becomes that column's pivot row, divided by the gcd of its entries.
+    With ``p`` the pivot and ``f`` the row's entry in its column, the step
+    against a pivot of ±1 is ``v -= f * p * pivot_row``; against any other
+    pivot it is the fraction-free ``v = p * v - f * pivot_row``, with ``p``
+    and ``f`` divided by their gcd first.  Every step is an exact rational
+    row operation, so the rank is exact in plain integer arithmetic.
     """
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-    if not ncols:
-        return 0
-    nrows = len(rows)
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                pivot = i
+    pivots: dict = {}
+    for row in rows:
+        v = {c: x for c, x in row.items() if x}
+        while v:
+            col = min(v)
+            pivot = pivots.get(col)
+            if pivot is None:
+                g = gcd(*v.values())
+                pivots[col] = {c: x // g for c, x in v.items()} if g != 1 else v
                 break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank][col]
-        for i in range(rank + 1, nrows):
-            factor = rows[i][col]
-            row_i = rows[i]
-            row_r = rows[rank]
-            for j in range(col + 1, ncols):
-                row_i[j] = (p * row_i[j] - factor * row_r[j]) // prev
-            row_i[col] = 0
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+            p = pivot[col]
+            f = v[col]
+            if p == 1 or p == -1:
+                f *= p
+            else:
+                g = gcd(p, f)
+                p //= g
+                f //= g
+                for c in v:
+                    v[c] *= p
+            for c, x in pivot.items():
+                y = v.get(c, 0) - f * x
+                if y:
+                    v[c] = y
+                else:
+                    del v[c]
+    return len(pivots)
+
+
+def exact_rank(matrix) -> int:
+    """Rank over the rationals of a dense integer matrix (a list of rows)."""
+    rows = [list(r) for r in matrix]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
+    return _rank_rows({j: x for j, x in enumerate(r) if x} for r in rows)
 
 
 @dataclass(frozen=True)
@@ -70,9 +79,10 @@ def betti_numbers(tc: TaylorComplex) -> BettiTable:
     """Betti numbers from the Taylor complex tensored with the residue field.
 
     Tensoring keeps exactly the boundary entries between equal-lcm cells, so
-    the complex splits into one block per multidegree; each block is a small
-    sign matrix whose exact ranks give the multigraded Betti numbers, and the
-    totals are their sums.
+    the complex splits into one block per multidegree and cardinality.  Each
+    block is ranked as one sparse row per cell, ``{facet: incidence sign}``
+    over its facets of the same lcm; the ranks give the multigraded Betti
+    numbers, and the totals are their sums.
     """
     n = tc.n
     classes: dict[Monomial, list[int]] = {}
@@ -85,17 +95,12 @@ def betti_numbers(tc: TaylorComplex) -> BettiTable:
         for c in cells:
             by_card.setdefault(c.bit_count(), []).append(c)
         block_rank: dict[int, int] = {}
-        for i, cols in by_card.items():
-            rows = by_card.get(i - 1)
-            if not rows:
-                continue
-            row_index = {c: k for k, c in enumerate(rows)}
-            block = [[0] * len(cols) for _ in rows]
-            for cidx, sigma in enumerate(cols):
-                for b in tc.bridges(sigma):
-                    tau = sigma ^ (1 << b)
-                    block[row_index[tau]][cidx] = incidence_sign(sigma, tau)
-            block_rank[i] = exact_rank(block)
+        for i, group in by_card.items():
+            rows = []
+            for sigma in group:
+                facets = (sigma ^ (1 << b) for b in tc.bridges(sigma))
+                rows.append({tau: incidence_sign(sigma, tau) for tau in facets})
+            block_rank[i] = _rank_rows(rows)
         entry: dict[int, int] = {}
         for i, group in by_card.items():
             betti = len(group) - block_rank.get(i, 0) - block_rank.get(i + 1, 0)
@@ -111,54 +116,14 @@ def betti_numbers(tc: TaylorComplex) -> BettiTable:
 def sparse_rank(entries) -> int:
     """Exact rank of a sparse integer matrix given as ``{(row, col): value}``.
 
-    Rows and columns are the two sides of a bipartite graph whose edges are
-    the nonzero entries.  Permuting rows and columns by connected component
-    makes the matrix block diagonal, and the rank of a block-diagonal matrix
-    is the sum of its block ranks, so each component is ranked on its own
-    small dense block.
+    The entries are gathered into one ``{col: value}`` dict per row and
+    ranked by the sparse elimination of :func:`_rank_rows`; no dense block is
+    ever built.
     """
-    parent: list[int] = []
-    row_node: dict = {}
-    col_node: dict = {}
-
-    def node(index: dict, key) -> int:
-        got = index.get(key)
-        if got is None:
-            got = index[key] = len(parent)
-            parent.append(got)
-        return got
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    nonzero = []
+    rows: dict = {}
     for (r, c), value in entries.items():
-        if value:
-            a = find(node(row_node, r))
-            b = find(node(col_node, c))
-            if a != b:
-                parent[b] = a
-            nonzero.append((r, c, value))
-    blocks: dict[int, list] = {}
-    for r, c, value in nonzero:
-        blocks.setdefault(find(row_node[r]), []).append((r, c, value))
-    rank = 0
-    for block in blocks.values():
-        rows: dict = {}
-        cols: dict = {}
-        for r, c, _ in block:
-            rows.setdefault(r, len(rows))
-            cols.setdefault(c, len(cols))
-        dense = [[0] * len(cols) for _ in rows]
-        for r, c, value in block:
-            dense[rows[r]][cols[c]] = value
-        rank += exact_rank(dense)
-    return rank
+        rows.setdefault(r, {})[c] = value
+    return _rank_rows(rows.values())
 
 
 def homology_ranks(mc: MorseComplex) -> list[int]:
@@ -166,10 +131,10 @@ def homology_ranks(mc: MorseComplex) -> list[int]:
 
     For a complex that resolves R/I these equal the total Betti numbers, no
     matter which matching produced it.  Tensoring keeps the entries whose
-    monomial factor is 1; each boundary matrix is then ranked block by block
-    through :func:`sparse_rank`.  The blocks are the connected components of
-    the nonzero entries, not the lcm labels of the cells: this is a check of
-    the complex, so it must not trust the monomial factors it is checking.
+    monomial factor is 1; each boundary matrix is then ranked whole through
+    :func:`sparse_rank`.  It is not split by the lcm labels of the cells:
+    this is a check of the complex, so it must not trust the monomial
+    factors it is checking.
     """
     dims = [len(b) for b in mc.basis]
     boundary_rank = [0] * (len(dims) + 1)

@@ -37,6 +37,7 @@ import itertools
 import math
 import multiprocessing
 import operator
+import signal
 import sys
 from dataclasses import dataclass
 from typing import Iterator
@@ -131,6 +132,10 @@ def _payload(tc, target_ranks):
 def _init_worker(payload, stop=None) -> None:
     global _WORK, _STOP
     _WORK, _STOP = payload, stop
+    if stop is not None:
+        # a pool worker: Ctrl-C reaches the parent, which stops the search;
+        # a worker killed by it mid-chunk would lose that chunk's result
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _pool_chunk(task):
@@ -226,17 +231,21 @@ def _run_chunks(worker, bounds_list, workers, progress, total, stop_early):
                 return
         return
     stop = multiprocessing.Event()
-    with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(_WORK, stop)) as pool:
+    pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(_WORK, stop))
+    try:
         tasks = [(worker, bounds) for bounds in bounds_list]
         for bounds, result in zip(bounds_list, pool.imap(_pool_chunk, tasks)):
             done = bounds[1]
             report()
             yield bounds, result
             if stop_early and result:
-                break
-        # the workers exit on their own, after the chunk they are on:
-        # terminating the pool may kill one while it writes a result, which
-        # leaves the result queue locked and the shutdown hung
+                return
+    finally:
+        # on every exit (the end, an early stop, a worker's exception, the
+        # consumer closing the generator) the workers exit on their own,
+        # after the chunk they are on: terminating the pool may kill one
+        # while it writes a result, which leaves the result queue locked and
+        # the shutdown hung
         stop.set()
         pool.close()
         pool.join()

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from morseideals import parse_ideal, random_squarefree_ideal
+from morseideals import incidence_sign, parse_ideal, random_squarefree_ideal
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -66,3 +66,53 @@ def naive_rank(matrix):
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def naive_homology_ranks(mc):
+    """Homology ranks of a Morse complex from dense ``naive_rank`` boundaries."""
+    dims = [len(b) for b in mc.basis]
+    boundary_rank = [0] * (len(dims) + 1)
+    for i, matrix in enumerate(mc.differentials, start=1):
+        dense = [[0] * len(matrix.cols) for _ in matrix.rows]
+        for (r, c), entry in matrix.entries.items():
+            if entry.monomial_factor.is_one():
+                dense[r][c] = entry.coefficient
+        boundary_rank[i] = naive_rank(dense)
+    return [dims[i] - boundary_rank[i] - boundary_rank[i + 1] for i in range(len(dims))]
+
+
+def naive_betti_numbers(tc):
+    """``(totals, multigraded)`` of the Taylor complex, ranked block by dense block.
+
+    Cells are grouped by the value of their lcm, and each block is the dense
+    matrix of incidence signs over every facet pair of the group, ranked with
+    ``naive_rank``; no bridge table or sparse kernel is used.
+    """
+    groups = {}
+    for cell in range(1 << tc.n):
+        by_card = groups.setdefault(tc.lcm(cell), {})
+        by_card.setdefault(cell.bit_count(), []).append(cell)
+    totals = [0] * (tc.n + 1)
+    multigraded = {}
+    for label, by_card in groups.items():
+        block_rank = {}
+        for i, cols in by_card.items():
+            rows = by_card.get(i - 1, [])
+            block_rank[i] = naive_rank(
+                [
+                    [
+                        incidence_sign(sigma, tau) if tau & ~sigma == 0 else 0
+                        for sigma in cols
+                    ]
+                    for tau in rows
+                ]
+            )
+        entry = {}
+        for i, cells in by_card.items():
+            betti = len(cells) - block_rank[i] - block_rank.get(i + 1, 0)
+            if betti:
+                entry[i] = betti
+                totals[i] += betti
+        if entry:
+            multigraded[label] = entry
+    return tuple(totals), multigraded

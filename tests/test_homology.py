@@ -10,6 +10,7 @@ from morseideals import (
     critical_family,
     cycle_edge_ideal,
     exact_rank,
+    format_ideal,
     homology_ranks,
     is_minimal,
     lyubeznik_matching,
@@ -20,8 +21,8 @@ from morseideals import (
     trimmed_matching,
 )
 from morseideals.families import SplitMix64
-from morseideals.homology import sparse_rank
-from conftest import corpus_ideals, naive_rank
+from morseideals.homology import _rank_rows, sparse_rank
+from conftest import corpus_ideals, naive_betti_numbers, naive_homology_ranks, naive_rank
 
 
 def test_exact_rank_basics():
@@ -48,15 +49,19 @@ def test_exact_rank_against_rational_oracle():
         assert exact_rank(matrix) == naive_rank(matrix)
 
 
+def _column_sums(table):
+    """The multigraded counts summed per degree, to compare with the totals."""
+    sums = [0] * len(table.totals)
+    for entry in table.multigraded.values():
+        for degree, count in entry.items():
+            sums[degree] += count
+    return tuple(sums)
+
+
 def test_betti_running_ideal(run4):
     table = betti_numbers(build_taylor(run4))
     assert table.totals == (1, 4, 4, 1, 0)
-    # multigraded counts marginalize to the totals
-    resummed = [0] * len(table.totals)
-    for entry in table.multigraded.values():
-        for degree, count in entry.items():
-            resummed[degree] += count
-    assert tuple(resummed) == table.totals
+    assert _column_sums(table) == table.totals
 
 
 def test_betti_triangle_and_single(tri):
@@ -170,22 +175,74 @@ def _check_complexes(tc):
     yield morse_differential(tc, Matching.from_pairs(()))
 
 
-def _dense_homology_ranks(mc):
-    dims = [len(b) for b in mc.basis]
-    boundary_rank = [0] * (len(dims) + 1)
-    for i, matrix in enumerate(mc.differentials, start=1):
-        dense = [[0] * len(matrix.cols) for _ in matrix.rows]
-        for (r, c), entry in matrix.entries.items():
-            if entry.monomial_factor.is_one():
-                dense[r][c] = entry.coefficient
-        boundary_rank[i] = exact_rank(dense)
-    return [dims[i] - boundary_rank[i] - boundary_rank[i + 1] for i in range(len(dims))]
-
-
 def test_homology_ranks_match_dense_ranks(run4, ex56):
     ideals = [cycle_edge_ideal(n) for n in range(3, 9)] + [run4, ex56]
     for ideal in ideals:
         tc = build_taylor(ideal)
         totals = list(betti_numbers(tc).totals)
         for mc in _check_complexes(tc):
-            assert homology_ranks(mc) == _dense_homology_ranks(mc) == totals
+            assert homology_ranks(mc) == naive_homology_ranks(mc) == totals
+
+
+def test_rank_rows_non_unit_pivots():
+    # pivots other than ±1 take the fraction-free step
+    assert _rank_rows([{0: 2, 1: 1}, {0: 1, 1: 2}]) == 2
+    assert _rank_rows([{0: 2, 1: 4}, {0: 1, 1: 2}]) == 1
+    assert _rank_rows([{0: 4, 1: 6}, {0: 6, 1: 9}, {0: 10, 1: 15}]) == 1
+    assert _rank_rows([{0: 3, 2: 5}, {0: 5, 1: 7}, {1: 21, 2: -25}]) == 2
+    big = 10**40
+    assert _rank_rows([{0: big, 1: 1}, {0: 1, 1: 0}, {0: big + 1, 1: 1}]) == 2
+    assert _rank_rows([{0: big, 1: big + 1}, {0: big - 1, 1: big}]) == 2
+    assert _rank_rows([]) == 0
+    assert _rank_rows([{}, {5: 0}]) == 0
+
+
+def test_rank_rows_against_rational_oracle():
+    rng = SplitMix64(4242)
+    for _ in range(300):
+        nrows = rng.below(10)
+        ncols = rng.below(10)
+        density = 1 + rng.below(4)  # about one entry in `density` is nonzero
+        spread = (1, 4, 30)[rng.below(3)]  # ±1 only, small, or wide entries
+        dense = [
+            [
+                (rng.below(2 * spread + 1) - spread) if rng.below(density) == 0 else 0
+                for _ in range(ncols)
+            ]
+            for _ in range(nrows)
+        ]
+        # columns get scattered keys, some zeros stay explicit, rows come shuffled
+        keys = _shuffled(rng, range(3 * ncols + 1))[:ncols]
+        rows = [
+            {keys[j]: x for j, x in enumerate(row) if x or rng.below(3) == 0}
+            for row in dense
+        ]
+        expected = naive_rank(dense) if ncols else 0
+        assert _rank_rows(_shuffled(rng, rows)) == expected, dense
+        entries = {(r, c): x for r, row in enumerate(rows) for c, x in row.items()}
+        assert sparse_rank(entries) == expected
+
+
+# every degree-3 monomial in 3 variables: 10 generators, not squarefree
+CUBICS = "vars: x y z\ngens: x^3 x^2*y x^2*z x*y^2 x*y*z x*z^2 y^3 y^2*z y*z^2 z^3\n"
+
+
+def test_betti_numbers_match_dense_blocks(run4, ex56):
+    ideals = [cycle_edge_ideal(n) for n in range(3, 9)] + [run4, ex56, parse_ideal(CUBICS)]
+    ideals += corpus_ideals(100)
+    for ideal in ideals:
+        tc = build_taylor(ideal)
+        table = betti_numbers(tc)
+        assert (table.totals, table.multigraded) == naive_betti_numbers(tc), format_ideal(ideal)
+
+
+POWER_IDEAL = """vars: x1 x2 x3
+gens: x1^4 x1^3*x2 x1^3*x3 x1^2*x2^2 x1^2*x2*x3 x1^2*x3^2 x1*x2^3 x1*x2^2*x3 x1*x2*x3^2 x1*x3^3 x2^4 x2^3*x3 x2^2*x3^2
+"""
+
+
+def test_betti_power_ideal_row():
+    # every degree-4 monomial in 3 variables but x2*x3^3 and x3^4
+    table = betti_numbers(build_taylor(parse_ideal(POWER_IDEAL)))
+    assert table.totals == (1, 13, 20, 8) + (0,) * 10
+    assert _column_sums(table) == table.totals

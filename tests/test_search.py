@@ -1,5 +1,7 @@
 import math
 import multiprocessing.process
+import signal
+import threading
 
 import pytest
 
@@ -16,7 +18,14 @@ from morseideals import (
     parse_ideal,
 )
 from morseideals.families import SimpleGraph
-from morseideals.search import _chunk_bounds, _chunk_orders, _payload, _sweep, _unrank
+from morseideals.search import (
+    _chunk_bounds,
+    _chunk_orders,
+    _payload,
+    _run_chunks,
+    _sweep,
+    _unrank,
+)
 from conftest import corpus_ideals
 
 
@@ -135,21 +144,82 @@ def test_worker_counts_do_not_change_results(tri):
         )
 
 
-def test_pool_search_stops_without_killing_workers(monkeypatch):
-    # a worker killed while it writes a result leaves the result queue
-    # locked, and the pool's shutdown then hangs
-    killed = []
+@pytest.fixture
+def killed(monkeypatch):
+    """Pids of the processes terminated during the test.
+
+    A worker killed while it writes a result leaves the result queue locked,
+    and the pool's shutdown then hangs.
+    """
+    pids = []
     terminate = multiprocessing.process.BaseProcess.terminate
 
     def spy(process):
-        killed.append(process.pid)
+        pids.append(process.pid)
         terminate(process)
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate", spy)
+    return pids
+
+
+def test_pool_search_stops_without_killing_workers(killed):
     result = bridge_minimal_search(cycle_edge_ideal(7), workers=2)
     # the witness ends the first of 20 chunks
     assert result.orders_tried == 1 and result.order is not None
     assert killed == []
+
+
+def _failing_chunk(bounds):
+    if bounds[0] == 3:
+        raise RuntimeError("chunk 3 fails on purpose")
+    return bounds[0]
+
+
+def _sigint_handler(bounds):
+    return signal.getsignal(signal.SIGINT)
+
+
+def _within(seconds, run):
+    """What ``run()`` returns or raises, failing the test if it takes longer."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(("value", run()))
+        except Exception as exc:
+            outcome.append(("error", exc))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    return outcome[0]
+
+
+BOUNDS = [(i, i + 1) for i in range(40)]
+
+
+def test_pool_worker_error_reaches_the_caller(killed):
+    kind, got = _within(60, lambda: list(_run_chunks(_failing_chunk, BOUNDS, 2, False, 40, False)))
+    assert kind == "error" and isinstance(got, RuntimeError)
+    assert "on purpose" in str(got)
+    assert killed == []
+
+
+def test_pool_closed_generator_lets_workers_finish(killed):
+    def take_two():
+        chunks = _run_chunks(_failing_chunk, BOUNDS, 2, False, 40, False)
+        first = [next(chunks), next(chunks)]
+        chunks.close()
+        return first
+
+    assert _within(60, take_two) == ("value", [((0, 1), 0), ((1, 2), 1)])
+    assert killed == []
+
+
+def test_pool_workers_leave_ctrl_c_to_the_parent():
+    kind, got = _within(60, lambda: list(_run_chunks(_sigint_handler, BOUNDS[:4], 2, False, 4, False)))
+    assert kind == "value" and {handler for _, handler in got} == {signal.SIG_IGN}
 
 
 def test_friendly_hits_verified_publicly():
