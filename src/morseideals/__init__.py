@@ -56,6 +56,7 @@ from .morse import (
 )
 from .search import (
     MinimalSearchResult,
+    SearchWorkerError,
     bridge_friendly_list,
     bridge_minimal_search,
     enumerate_orders,

@@ -69,6 +69,17 @@ class Monomial:
             if e > MAX_EXPONENT:
                 raise ValueError(f"exponent {e} exceeds the supported bound {MAX_EXPONENT}")
 
+    @classmethod
+    def trusted(cls, context: VariableContext, exponents: tuple[int, ...]) -> Monomial:
+        """A monomial from an exponent tuple the caller has already checked.
+
+        Skips the ``__post_init__`` loop over the exponents; for hot paths
+        that derive valid exponents from monomials that passed it.
+        """
+        mono = object.__new__(cls)
+        mono.__dict__.update(context=context, exponents=exponents)
+        return mono
+
     @cached_property
     def support_mask(self) -> int:
         mask = 0

@@ -7,6 +7,7 @@ subcommand to a JSON document carrying ``schema_version`` 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from .matching import (
     validate_matching,
 )
 from .morse import is_minimal, morse_differential, verify_complex
-from .search import bridge_friendly_list, bridge_minimal_search
+from .search import SearchWorkerError, bridge_friendly_list, bridge_minimal_search
 from .taylor import build_taylor, cell_members
 
 SCHEMA_VERSION = 1
@@ -467,13 +468,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # built on the first call of main and reused: parse_args keeps no state
+    # between calls, and building the whole tree costs more than the check
+    # of a small ideal
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SearchWorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

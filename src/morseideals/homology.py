@@ -15,7 +15,7 @@ from math import gcd
 
 from .algebra import Monomial
 from .morse import MorseComplex
-from .taylor import TaylorComplex, incidence_sign
+from .taylor import TaylorComplex, facet_sign
 
 
 def _rank_rows(rows) -> int:
@@ -28,7 +28,9 @@ def _rank_rows(rows) -> int:
     against a pivot of ±1 is ``v -= f * p * pivot_row``; against any other
     pivot it is the fraction-free ``v = p * v - f * pivot_row``, with ``p``
     and ``f`` divided by their gcd first.  Every step is an exact rational
-    row operation, so the rank is exact in plain integer arithmetic.
+    row operation, so the rank is exact in plain integer arithmetic.  Each
+    step must clear the pivot column; one that does not raises
+    ``AssertionError`` instead of looping.
     """
     pivots: dict = {}
     for row in rows:
@@ -56,6 +58,9 @@ def _rank_rows(rows) -> int:
                     v[c] = y
                 else:
                     del v[c]
+            if col in v:
+                # a step that leaves the pivot column would loop forever
+                raise AssertionError(f"rank step left column {col} in the row")
     return len(pivots)
 
 
@@ -82,25 +87,24 @@ def betti_numbers(tc: TaylorComplex) -> BettiTable:
     the complex splits into one block per multidegree and cardinality.  Each
     block is ranked as one sparse row per cell, ``{facet: incidence sign}``
     over its facets of the same lcm; the ranks give the multigraded Betti
-    numbers, and the totals are their sums.
+    numbers, and the totals are their sums.  The blocks and facets come from
+    the complex's cached lcm classes and bridge table, which depend on the
+    lcm labels alone.
     """
     n = tc.n
-    classes: dict[Monomial, list[int]] = {}
-    for c in range(1 << n):
-        classes.setdefault(tc.lcm(c), []).append(c)
+    bridge_table = tc.bridge_table()
     totals = [0] * (n + 1)
     multigraded: dict[Monomial, dict[int, int]] = {}
-    for label, cells in classes.items():
+    for label, cells in tc.classes().items():
         by_card: dict[int, list[int]] = {}
         for c in cells:
             by_card.setdefault(c.bit_count(), []).append(c)
         block_rank: dict[int, int] = {}
         for i, group in by_card.items():
-            rows = []
-            for sigma in group:
-                facets = (sigma ^ (1 << b) for b in tc.bridges(sigma))
-                rows.append({tau: incidence_sign(sigma, tau) for tau in facets})
-            block_rank[i] = _rank_rows(rows)
+            block_rank[i] = _rank_rows(
+                {sigma ^ (1 << b): facet_sign(sigma, b) for b in bridge_table[sigma]}
+                for sigma in group
+            )
         entry: dict[int, int] = {}
         for i, group in by_card.items():
             betti = len(group) - block_rank.get(i, 0) - block_rank.get(i + 1, 0)

@@ -333,22 +333,20 @@ def validate_matching(tc: TaylorComplex, matching: Matching) -> MatchingReport:
     is_matching = len(set(endpoint_list)) == len(endpoint_list)
     is_homogeneous = all(tc.lcm(s) is tc.lcm(t) for s, t in edges)
 
-    by_class: dict = {}
-    for c in range(1 << tc.n):
-        by_class.setdefault(tc.lcm(c), []).append(c)
     ups_by_class: dict = {}
     for s, t in edges:
         if tc.lcm(s) is tc.lcm(t):
             ups_by_class.setdefault(tc.lcm(s), []).append((s, t))
 
+    bridge_table = tc.bridge_table()
     edge_set = matching.edge_set
     is_acyclic = True
-    for label, nodes in by_class.items():
+    for label, nodes in tc.classes().items():
         if len(nodes) < 2:
             continue
         adjacency: dict[int, list[int]] = {}
         for s in nodes:
-            for b in tc.bridges(s):
+            for b in bridge_table[s]:
                 t = s ^ (1 << b)
                 if (s, t) not in edge_set:
                     adjacency.setdefault(s, []).append(t)

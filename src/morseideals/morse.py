@@ -13,15 +13,16 @@ sign; the empty path contributes 1.  The convention is validated behaviorally
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 
-from .algebra import MonomialIdeal, quotient
+from .algebra import Monomial, MonomialIdeal
 from .matching import Matching, validate_matching
 from .taylor import (
     DifferentialEntry,
     DifferentialMatrix,
     TaylorComplex,
     cell_members,
+    facet_sign,
     incidence_sign,
     taylor_differential,
 )
@@ -67,7 +68,7 @@ def _resolve_transfer(source_of, source_cells, start, memo):
         memo[tau] = _PENDING
         up = -incidence_sign(c, tau)
         facets = [
-            (up * incidence_sign(c, c ^ (1 << j)), c ^ (1 << j))
+            (up * facet_sign(c, j), c ^ (1 << j))
             for j in cell_members(c)
             if c ^ (1 << j) != tau
         ]
@@ -147,7 +148,8 @@ def morse_differential(
     (used for the trimmed construction); it must contain every matched cell.
     The matching is validated first; the entry for a critical pair is the
     accumulated integer weight times the quotient of the lcm labels, and
-    entries that cancel to zero are dropped.
+    entries that cancel to zero are dropped.  A quotient whose exponent
+    difference has a negative entry raises ValueError naming both cells.
     """
     report = validate_matching(tc, matching)
     if not report.all_ok:
@@ -175,6 +177,9 @@ def morse_differential(
 
     source_of = matching.source_by_target
     source_cells = matching.source_cells
+    lcms = tc.lcms
+    context = tc.ideal.context
+    factors: dict[tuple[int, ...], Monomial] = {}  # one instance per distinct factor
     memo: dict = {}
     differentials = []
     for i in range(1, n + 1):
@@ -183,18 +188,25 @@ def morse_differential(
         row_index = {c: k for k, c in enumerate(rows)}
         entries: dict[tuple[int, int], DifferentialEntry] = {}
         for cidx, sigma in enumerate(cols):
-            label = tc.lcm(sigma)
+            top = lcms[sigma].exponents
             acc: dict[int, int] = {}
             for j in cell_members(sigma):
-                tau = sigma ^ (1 << j)
-                sign = incidence_sign(sigma, tau)
-                for crit, weight in _resolve_transfer(source_of, source_cells, tau, memo).items():
+                sign = facet_sign(sigma, j)
+                for crit, weight in _resolve_transfer(
+                    source_of, source_cells, sigma ^ (1 << j), memo
+                ).items():
                     acc[crit] = acc.get(crit, 0) + sign * weight
             for crit, weight in acc.items():
                 if weight:
-                    entries[(row_index[crit], cidx)] = DifferentialEntry(
-                        weight, quotient(label, tc.lcm(crit))
-                    )
+                    exponents = tuple(map(sub, top, lcms[crit].exponents))
+                    if min(exponents) < 0:
+                        raise ValueError(
+                            f"lcm of cell {crit:#x} does not divide the lcm of cell {sigma:#x}"
+                        )
+                    factor = factors.get(exponents)
+                    if factor is None:
+                        factor = factors[exponents] = Monomial.trusted(context, exponents)
+                    entries[(row_index[crit], cidx)] = DifferentialEntry(weight, factor)
         differentials.append(DifferentialMatrix(rows, cols, entries))
     return MorseComplex(tc.ideal, tuple(tuple(b) for b in basis), tuple(differentials))
 

@@ -55,6 +55,11 @@ _WORK = None
 _STOP = None
 
 
+class SearchWorkerError(RuntimeError):
+    """A pool worker of an order search raised; the worker's exception is
+    chained as ``__cause__``."""
+
+
 def enumerate_orders(n: int) -> Iterator[tuple[int, ...]]:
     """All permutations of 0..n-1 in lexicographic order."""
     return itertools.permutations(range(n))
@@ -213,7 +218,8 @@ def _run_chunks(worker, bounds_list, workers, progress, total, stop_early):
     With ``stop_early`` the iteration ends at the first chunk whose result is
     truthy; later chunks that a worker has already started are discarded and
     the others are skipped, so the reported outcome only depends on the
-    lexicographic stream.
+    lexicographic stream.  An exception raised in a pool worker is raised
+    here as :class:`SearchWorkerError`, chained from it.
     """
     done = 0
 
@@ -233,8 +239,14 @@ def _run_chunks(worker, bounds_list, workers, progress, total, stop_early):
     stop = multiprocessing.Event()
     pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(_WORK, stop))
     try:
-        tasks = [(worker, bounds) for bounds in bounds_list]
-        for bounds, result in zip(bounds_list, pool.imap(_pool_chunk, tasks)):
+        results = pool.imap(_pool_chunk, [(worker, bounds) for bounds in bounds_list])
+        for bounds in bounds_list:
+            try:
+                result = next(results)
+            except Exception as exc:
+                raise SearchWorkerError(
+                    f"a search worker failed: {type(exc).__name__}: {exc}"
+                ) from exc
             done = bounds[1]
             report()
             yield bounds, result

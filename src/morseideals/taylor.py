@@ -9,7 +9,8 @@ first, a generator's index is also its position in the total order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .algebra import Monomial, MonomialIdeal, quotient
 
@@ -43,15 +44,17 @@ class TaylorComplex:
     ``lcms[cell]`` holds the lcm of the member generators; distinct exponent
     vectors are interned to a single Monomial instance, so two cells have
     equal lcms exactly when their table entries are the same object.
-    Immutable after construction.
+    Immutable after construction; the tables derived from ``lcms`` are
+    built on first use and then shared by every caller.
     """
 
-    __slots__ = ("ideal", "n", "lcms", "_bridge_cache")
+    __slots__ = ("ideal", "n", "lcms", "_class_cache", "_bridge_cache")
 
     def __init__(self, ideal: MonomialIdeal, lcms: list[Monomial]):
         self.ideal = ideal
         self.n = ideal.n
         self.lcms = lcms
+        self._class_cache = None
         self._bridge_cache = None
 
     def lcm(self, cell: int) -> Monomial:
@@ -75,14 +78,32 @@ class TaylorComplex:
         found = self.bridges(cell)
         return found[0] if found else None
 
-    def bridge_table(self) -> list[tuple[int, ...]]:
+    def classes(self) -> Mapping[Monomial, tuple[int, ...]]:
+        """Cells grouped by lcm label, each group ascending (cached, read-only).
+
+        Labels come in the order of their smallest cell.
+        """
+        if self._class_cache is None:
+            groups: dict[Monomial, list[int]] = {}
+            for cell, label in enumerate(self.lcms):
+                groups.setdefault(label, []).append(cell)
+            self._class_cache = MappingProxyType({k: tuple(v) for k, v in groups.items()})
+        return self._class_cache
+
+    def bridge_table(self) -> tuple[tuple[int, ...], ...]:
         """Bridges of every cell, indexed by cell mask (cached).
 
-        Bridges do not depend on the generator order, so order searches can
-        reuse this table across permutations.
+        A bridge keeps the lcm, so only cells that share their label with
+        another cell have any.  Bridges do not depend on the generator order,
+        so order searches can reuse this table across permutations.
         """
         if self._bridge_cache is None:
-            self._bridge_cache = [tuple(self.bridges(c)) for c in range(1 << self.n)]
+            table: list[tuple[int, ...]] = [()] * len(self.lcms)
+            for cells in self.classes().values():
+                if len(cells) > 1:
+                    for c in cells:
+                        table[c] = tuple(self.bridges(c))
+            self._bridge_cache = tuple(table)
         return self._bridge_cache
 
 
@@ -122,8 +143,13 @@ def incidence_sign(source: int, target: int) -> int:
     removed = source ^ target
     if target & ~source or removed.bit_count() != 1:
         raise ValueError(f"cells {source:#x} -> {target:#x} are not a facet pair")
-    below = source & (removed - 1)
-    return -1 if below.bit_count() & 1 else 1
+    return facet_sign(source, removed.bit_length() - 1)
+
+
+def facet_sign(cell: int, member: int) -> int:
+    """:func:`incidence_sign` of ``cell`` minus its member ``member``,
+    unchecked: for callers that build the facet from the cell."""
+    return -1 if (cell & ((1 << member) - 1)).bit_count() & 1 else 1
 
 
 class DifferentialEntry(NamedTuple):

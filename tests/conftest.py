@@ -116,3 +116,36 @@ def naive_betti_numbers(tc):
         if entry:
             multigraded[label] = entry
     return tuple(totals), multigraded
+
+
+def _cell_lcm_exponents(ideal, cell):
+    """Exponents of the lcm of a cell's generators, from the generators alone."""
+    exponents = (0,) * ideal.context.size
+    for i, generator in enumerate(ideal.generators):
+        if cell >> i & 1:
+            exponents = tuple(map(max, exponents, generator.exponents))
+    return exponents
+
+
+def naive_classes(tc):
+    """``{lcm exponents: ascending cells}`` recomputed from the generators;
+    reference for ``TaylorComplex.classes``."""
+    groups = {}
+    for cell in range(1 << tc.n):
+        groups.setdefault(_cell_lcm_exponents(tc.ideal, cell), []).append(cell)
+    return {label: tuple(cells) for label, cells in groups.items()}
+
+
+def naive_bridge_table(tc):
+    """Bridges of every cell recomputed from the generators: the members
+    whose removal keeps the lcm; reference for ``TaylorComplex.bridge_table``."""
+    ideal = tc.ideal
+    return tuple(
+        tuple(
+            i
+            for i in range(tc.n)
+            if cell >> i & 1
+            and _cell_lcm_exponents(ideal, cell ^ (1 << i)) == _cell_lcm_exponents(ideal, cell)
+        )
+        for cell in range(1 << tc.n)
+    )

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from morseideals import bm_matching, build_taylor, cell_of, parse_ideal
-from morseideals.cli import main
+from morseideals import bm_matching, build_taylor, cell_of, cli, parse_ideal
+from morseideals.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RUN4 = str(FIXTURES / "run4.ideal")
@@ -153,6 +153,48 @@ def test_check_subcommand(capsys):
     assert payload["ok"] is True
     assert payload["results"][0]["kind"] == "bm"
     assert payload["results"][0]["ranks"] == [1, 4, 4, 1, 0]
+
+
+GOLDEN_CHECK_RUN4 = (
+    "betti: 1 4 4 1 0\n"
+    "bm: matching=true homogeneous=true acyclic=true d2=true homology=true "
+    "minimal=true ranks=1 4 4 1 0\n"
+    "lyubeznik: matching=true homogeneous=true acyclic=true d2=true homology=true "
+    "minimal=false ranks=1 4 5 2 0\n"
+    "trimmed: matching=true homogeneous=true acyclic=true d2=true homology=true "
+    "minimal=true ranks=1 4 4 1 0\n"
+    "empty: matching=true homogeneous=true acyclic=true d2=true homology=true "
+    "minimal=false ranks=1 4 6 4 1\n"
+    "check: ok\n"
+)
+
+
+def test_main_reuses_one_parser_without_leaks(capsys):
+    assert build_parser() is not build_parser()
+    code, out = run_cli(capsys, "check", "-i", RUN4, "--kind", "bm", "--json")
+    assert code == 0
+    assert [entry["kind"] for entry in json.loads(out)["results"]] == ["bm"]
+    parser = cli._shared_parser()
+    code, out = run_cli(capsys, "bm", "ranks", "-i", RUN4, "--order", "w*z,w*x,x*y,y*z", "--json")
+    assert code == 0 and json.loads(out)["ranks"] == [1, 4, 4, 1, 0]
+    with pytest.raises(SystemExit) as info:
+        main(["check", "-i", RUN4, "--kind", "nope"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    # no kind, --json or --order of the earlier calls carries over
+    code, out = run_cli(capsys, "check", "-i", RUN4)
+    assert code == 0 and out == GOLDEN_CHECK_RUN4
+    assert cli._shared_parser() is parser
+
+
+def test_interrupt_is_one_error_line(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "build_taylor", interrupted)
+    code = main(["check", "-i", RUN4])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: interrupted\n")
 
 
 def test_order_override_changes_results(capsys):

@@ -184,6 +184,44 @@ def test_validate_matching_flags(run4):
     assert not validate_matching(tc, overlapping).is_matching
 
 
+# three homogeneous, vertex-disjoint edges of ex56 whose reversal closes a
+# gradient cycle inside one lcm class
+EX56_CYCLIC = ((0b110111, 0b110011), (0b111011, 0b111001), (0b111101, 0b110101))
+
+
+def test_validate_matching_on_shared_taylor_complex(run4, ex56):
+    """Reports on one reused complex equal reports on a fresh one each time:
+    the cached class and bridge tables carry nothing from matching to matching."""
+
+    def matchings(ideal, tc):
+        full = (1 << ideal.n) - 1
+        out = {
+            "bm": bm_matching(tc),
+            "lyubeznik": lyubeznik_matching(tc),
+            "trimmed": trimmed_matching(tc, range(ideal.n)),
+            "empty": Matching.from_pairs(()),
+            "inhomogeneous": Matching.from_pairs([(0b0011, 0b0001)]),
+            "overlapping": Matching.from_pairs([(full, full ^ 1), (full ^ 1, full ^ 0b11)]),
+        }
+        if ideal is ex56:
+            out["cyclic"] = Matching.from_pairs(EX56_CYCLIC)
+        return out
+
+    for ideal in (run4, ex56):
+        shared = build_taylor(ideal)
+        named = matchings(ideal, shared)
+        fresh = {
+            name: validate_matching(build_taylor(ideal), matching)
+            for name, matching in matchings(ideal, build_taylor(ideal)).items()
+        }
+        for order in (list(named), list(reversed(named))):
+            assert {name: validate_matching(shared, named[name]) for name in order} == fresh
+        assert fresh["inhomogeneous"] == (True, False, True)
+        assert not fresh["overlapping"].is_matching
+        if ideal is ex56:
+            assert fresh["cyclic"] == (True, True, False)
+
+
 def test_matching_rejects_non_facet_pairs():
     with pytest.raises(ValueError):
         Matching.from_pairs([(0b0111, 0b0001)])

@@ -2,7 +2,9 @@ import pytest
 
 from morseideals import (
     Matching,
+    Monomial,
     MonomialIdeal,
+    TaylorComplex,
     VariableContext,
     bm_matching,
     build_taylor,
@@ -12,6 +14,7 @@ from morseideals import (
     is_minimal,
     lyubeznik_matching,
     morse_differential,
+    quotient,
     ranks,
     taylor_chain_complex,
     transfer,
@@ -95,6 +98,25 @@ def test_morse_rejects_invalid_matching(run4):
     bad = Matching.from_pairs([(0b0011, 0b0001)])
     with pytest.raises(ValueError, match="validation"):
         morse_differential(tc, bad)
+
+
+def test_morse_factors_are_the_label_quotients(run4, ex56):
+    for ideal in (run4, ex56):
+        tc = build_taylor(ideal)
+        mc = morse_differential(tc, bm_matching(tc))
+        for matrix in mc.differentials:
+            for (r, c), entry in matrix.entries.items():
+                factor = entry.monomial_factor
+                assert factor == quotient(tc.lcm(matrix.cols[c]), tc.lcm(matrix.rows[r]))
+                assert hash(factor) == hash(Monomial(factor.context, factor.exponents))
+
+
+def test_morse_rejects_a_label_that_does_not_divide(run4):
+    lcms = list(build_taylor(run4).lcms)
+    lcms[0b0001] = run4.context.monomial("w^2")  # in place of y*z
+    broken = TaylorComplex(run4, lcms)
+    with pytest.raises(ValueError, match="lcm of cell 0x1 does not divide the lcm of cell 0x3"):
+        morse_differential(broken, Matching.from_pairs(()))
 
 
 def test_morse_family_closure_checked(run4):

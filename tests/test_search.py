@@ -2,6 +2,7 @@ import math
 import multiprocessing.process
 import signal
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +18,11 @@ from morseideals import (
     is_bridge_friendly,
     parse_ideal,
 )
+from morseideals import search
+from morseideals.cli import main
 from morseideals.families import SimpleGraph
 from morseideals.search import (
+    SearchWorkerError,
     _chunk_bounds,
     _chunk_orders,
     _payload,
@@ -201,8 +205,29 @@ BOUNDS = [(i, i + 1) for i in range(40)]
 
 def test_pool_worker_error_reaches_the_caller(killed):
     kind, got = _within(60, lambda: list(_run_chunks(_failing_chunk, BOUNDS, 2, False, 40, False)))
-    assert kind == "error" and isinstance(got, RuntimeError)
-    assert "on purpose" in str(got)
+    assert kind == "error" and isinstance(got, SearchWorkerError)
+    assert isinstance(got.__cause__, RuntimeError)
+    assert str(got.__cause__) == "chunk 3 fails on purpose"
+    assert str(got) == "a search worker failed: RuntimeError: chunk 3 fails on purpose"
+    assert killed == []
+
+
+def _failing_scan(bounds):
+    raise ZeroDivisionError("chunk fails on purpose")
+
+
+def test_cli_reports_a_worker_failure_on_one_line(capsys, monkeypatch, killed):
+    monkeypatch.setattr(search, "_scan_minimal_chunk", _failing_scan)
+    run4 = str(Path(__file__).parent / "fixtures" / "run4.ideal")
+    assert _within(60, lambda: main(["minimal-search", "-i", run4, "--workers", "2"])) == (
+        "value",
+        1,
+    )
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a search worker failed: ZeroDivisionError: chunk fails on purpose\n"
+    )
     assert killed == []
 
 

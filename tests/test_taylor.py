@@ -6,12 +6,14 @@ from morseideals import (
     build_taylor,
     cell_members,
     cell_of,
+    cycle_edge_ideal,
     incidence_sign,
     taylor_chain_complex,
     taylor_differential,
     verify_complex,
 )
-from conftest import corpus_ideals
+from morseideals.taylor import facet_sign
+from conftest import corpus_ideals, naive_bridge_table, naive_classes
 
 
 def test_cell_helpers():
@@ -65,6 +67,31 @@ def test_small_cells_never_have_bridges_on_corpus():
                 assert tc.lcm(cell ^ (1 << b)) == tc.lcm(cell)
 
 
+def test_cached_tables_match_recomputation(run4, ex56):
+    ideals = [cycle_edge_ideal(n) for n in range(3, 9)] + [run4, ex56, *corpus_ideals()]
+    for ideal in ideals:
+        tc = build_taylor(ideal)
+        classes = tc.classes()
+        assert {label.exponents: cells for label, cells in classes.items()} == naive_classes(tc)
+        assert all(tc.lcm(c) is label for label, cells in classes.items() for c in cells)
+        table = tc.bridge_table()
+        assert table == naive_bridge_table(tc)
+        # built once, then shared
+        assert tc.classes() is classes and tc.bridge_table() is table
+
+
+def test_cached_classes_are_read_only(run4):
+    tc = build_taylor(run4)
+    classes = tc.classes()
+    label = tc.lcm(0b1111)
+    with pytest.raises(TypeError):
+        classes[label] = ()
+    with pytest.raises(AttributeError):
+        classes[label].append(0)
+    with pytest.raises(TypeError):
+        tc.bridge_table()[0b1111] = ()
+
+
 def test_smallest_bridge(run4):
     tc = build_taylor(run4)
     assert tc.smallest_bridge(0b1111) == 0
@@ -81,6 +108,12 @@ def test_incidence_sign_convention():
         incidence_sign(0b011, 0b100)
     with pytest.raises(ValueError):
         incidence_sign(0b111, 0b001)
+
+
+def test_facet_sign_is_the_incidence_sign():
+    for cell in range(1 << 7):
+        for member in cell_members(cell):
+            assert facet_sign(cell, member) == incidence_sign(cell, cell ^ (1 << member))
 
 
 def test_taylor_differential_degree_one(run4):
