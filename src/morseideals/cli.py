@@ -7,7 +7,6 @@ subcommand to a JSON document carrying ``schema_version`` 1.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -468,25 +467,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    # built on the first call of main and reused: parse_args keeps no state
-    # between calls, and building the whole tree costs more than the check
-    # of a small ideal
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, SearchWorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def console_main(argv=None) -> int:
+    """The process entry point: :func:`main`, with Ctrl-C reported as one
+    ``error: interrupted`` line and exit code 1.  In-process callers of
+    :func:`main` still see the ``KeyboardInterrupt`` itself."""
+    try:
+        return main(argv)
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 1
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(console_main())

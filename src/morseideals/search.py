@@ -37,6 +37,8 @@ import itertools
 import math
 import multiprocessing
 import operator
+import os
+import re
 import signal
 import sys
 from dataclasses import dataclass
@@ -56,8 +58,29 @@ _STOP = None
 
 
 class SearchWorkerError(RuntimeError):
-    """A pool worker of an order search raised; the worker's exception is
-    chained as ``__cause__``."""
+    """A chunk worker of an order search raised, in this process or in a pool
+    worker; the worker's exception is chained as ``__cause__``."""
+
+
+_FRAME = re.compile(r'File "([^"]*)", line (\d+), in (\S+)')
+
+
+def _worker_error(exc: Exception) -> SearchWorkerError:
+    """``exc`` wrapped with the place it was raised, ``file:line in function``:
+    for an exception sent back by a pool worker, read from the worker's
+    traceback text, which the pool chains to it as ``__cause__``."""
+    frames = _FRAME.findall(getattr(exc.__cause__, "tb", None) or "")
+    if frames:
+        path, line, func = frames[-1]
+    else:
+        import traceback  # only on this error path
+
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        path, line, func = frame.filename, frame.lineno, frame.name
+    return SearchWorkerError(
+        f"a search worker failed: {type(exc).__name__}: {exc} "
+        f"(at {os.path.basename(path)}:{line} in {func})"
+    )
 
 
 def enumerate_orders(n: int) -> Iterator[tuple[int, ...]]:
@@ -218,8 +241,9 @@ def _run_chunks(worker, bounds_list, workers, progress, total, stop_early):
     With ``stop_early`` the iteration ends at the first chunk whose result is
     truthy; later chunks that a worker has already started are discarded and
     the others are skipped, so the reported outcome only depends on the
-    lexicographic stream.  An exception raised in a pool worker is raised
-    here as :class:`SearchWorkerError`, chained from it.
+    lexicographic stream.  An exception raised by ``worker``, serially or in
+    a pool worker, is raised here as :class:`SearchWorkerError`, chained
+    from it.
     """
     done = 0
 
@@ -229,7 +253,10 @@ def _run_chunks(worker, bounds_list, workers, progress, total, stop_early):
 
     if workers <= 1:
         for bounds in bounds_list:
-            result = worker(bounds)
+            try:
+                result = worker(bounds)
+            except Exception as exc:
+                raise _worker_error(exc) from exc
             done = bounds[1]
             report()
             yield bounds, result
@@ -244,9 +271,7 @@ def _run_chunks(worker, bounds_list, workers, progress, total, stop_early):
             try:
                 result = next(results)
             except Exception as exc:
-                raise SearchWorkerError(
-                    f"a search worker failed: {type(exc).__name__}: {exc}"
-                ) from exc
+                raise _worker_error(exc) from exc
             done = bounds[1]
             report()
             yield bounds, result

@@ -169,12 +169,11 @@ GOLDEN_CHECK_RUN4 = (
 )
 
 
-def test_main_reuses_one_parser_without_leaks(capsys):
+def test_main_calls_in_one_process_do_not_leak(capsys):
     assert build_parser() is not build_parser()
     code, out = run_cli(capsys, "check", "-i", RUN4, "--kind", "bm", "--json")
     assert code == 0
     assert [entry["kind"] for entry in json.loads(out)["results"]] == ["bm"]
-    parser = cli._shared_parser()
     code, out = run_cli(capsys, "bm", "ranks", "-i", RUN4, "--order", "w*z,w*x,x*y,y*z", "--json")
     assert code == 0 and json.loads(out)["ranks"] == [1, 4, 4, 1, 0]
     with pytest.raises(SystemExit) as info:
@@ -184,7 +183,6 @@ def test_main_reuses_one_parser_without_leaks(capsys):
     # no kind, --json or --order of the earlier calls carries over
     code, out = run_cli(capsys, "check", "-i", RUN4)
     assert code == 0 and out == GOLDEN_CHECK_RUN4
-    assert cli._shared_parser() is parser
 
 
 def test_interrupt_is_one_error_line(capsys, monkeypatch):
@@ -192,9 +190,12 @@ def test_interrupt_is_one_error_line(capsys, monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "build_taylor", interrupted)
-    code = main(["check", "-i", RUN4])
+    code = cli.console_main(["check", "-i", RUN4])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, "", "error: interrupted\n")
+    # an in-process caller of main can still be interrupted
+    with pytest.raises(KeyboardInterrupt):
+        main(["check", "-i", RUN4])
 
 
 def test_order_override_changes_results(capsys):

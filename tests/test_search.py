@@ -179,6 +179,9 @@ def _failing_chunk(bounds):
     return bounds[0]
 
 
+_FAILING_LINE = _failing_chunk.__code__.co_firstlineno + 2
+
+
 def _sigint_handler(bounds):
     return signal.getsignal(signal.SIGINT)
 
@@ -208,7 +211,10 @@ def test_pool_worker_error_reaches_the_caller(killed):
     assert kind == "error" and isinstance(got, SearchWorkerError)
     assert isinstance(got.__cause__, RuntimeError)
     assert str(got.__cause__) == "chunk 3 fails on purpose"
-    assert str(got) == "a search worker failed: RuntimeError: chunk 3 fails on purpose"
+    assert str(got) == (
+        "a search worker failed: RuntimeError: chunk 3 fails on purpose "
+        f"(at test_search.py:{_FAILING_LINE} in _failing_chunk)"
+    )
     assert killed == []
 
 
@@ -216,17 +222,18 @@ def _failing_scan(bounds):
     raise ZeroDivisionError("chunk fails on purpose")
 
 
-def test_cli_reports_a_worker_failure_on_one_line(capsys, monkeypatch, killed):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_reports_a_worker_failure_on_one_line(capsys, monkeypatch, killed, workers):
     monkeypatch.setattr(search, "_scan_minimal_chunk", _failing_scan)
     run4 = str(Path(__file__).parent / "fixtures" / "run4.ideal")
-    assert _within(60, lambda: main(["minimal-search", "-i", run4, "--workers", "2"])) == (
-        "value",
-        1,
-    )
+    argv = ["minimal-search", "-i", run4, "--workers", workers]
+    assert _within(60, lambda: main(argv)) == ("value", 1)
     captured = capsys.readouterr()
+    line = _failing_scan.__code__.co_firstlineno + 1
     assert captured.out == ""
     assert captured.err == (
-        "error: a search worker failed: ZeroDivisionError: chunk fails on purpose\n"
+        "error: a search worker failed: ZeroDivisionError: chunk fails on purpose "
+        f"(at test_search.py:{line} in _failing_scan)\n"
     )
     assert killed == []
 
