@@ -35,8 +35,6 @@ from .matching import (
     critical_cells,
     critical_family,
     is_bridge_friendly,
-    lyu_min,
-    lyu_value,
     lyubeznik_matching,
     possible_edges,
     possible_edges_with_positions,

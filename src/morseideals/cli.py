@@ -186,25 +186,22 @@ def _emit_matching_family(args, tc, ideal, matching, family) -> int:
 def _cmd_betti(args) -> int:
     ideal = _load_ideal(args)
     table = betti_numbers(build_taylor(ideal))
+    rows = {}
+    if args.multigraded:
+        for mono, entry in sorted(table.multigraded.items(), key=lambda kv: str(kv[0])):
+            row = [0] * len(table.totals)
+            for degree, count in entry.items():
+                row[degree] = count
+            rows[str(mono)] = row
     if args.json:
         payload = {"totals": list(table.totals)}
         if args.multigraded:
-            dense = {}
-            for mono, entry in sorted(table.multigraded.items(), key=lambda kv: str(kv[0])):
-                row = [0] * len(table.totals)
-                for degree, count in entry.items():
-                    row[degree] = count
-                dense[str(mono)] = row
-            payload["multigraded"] = dense
+            payload["multigraded"] = rows
         _emit(payload)
     else:
         print(ranks_text(table.totals))
-        if args.multigraded:
-            for mono, entry in sorted(table.multigraded.items(), key=lambda kv: str(kv[0])):
-                row = [0] * len(table.totals)
-                for degree, count in entry.items():
-                    row[degree] = count
-                print(f"{mono}: {ranks_text(row)}")
+        for mono, row in rows.items():
+            print(f"{mono}: {ranks_text(row)}")
     return 0
 
 
@@ -399,7 +396,16 @@ def _int_at_least(low: int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("bm", "lyu", "trim", "betti", "check", "friendly", "friendly-list", "minimal-search", "gen")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser of :func:`main`.
+
+    When ``command`` names a subcommand, only that subcommand is added: that
+    is all a command line starting with it needs, at a fraction of the cost
+    of the whole tree.  Its usage line still lists every subcommand.
+    """
     parser = argparse.ArgumentParser(
         prog="morseideals",
         description=(
@@ -407,9 +413,18 @@ def build_parser() -> argparse.ArgumentParser:
             "their induced resolutions, and exhaustive order searches."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = {command} if command in _COMMANDS else set(_COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        # what argparse lists for the whole tree; only set for one subcommand,
+        # since errors on the whole tree name the argument by its metavar
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(chosen) == 1 else None,
+    )
 
     for name, handler in (("bm", _cmd_bm), ("lyu", _cmd_lyu), ("trim", _cmd_trim)):
+        if name not in chosen:
+            continue
         actions = ["matching", "critical", "ranks"]
         if name == "bm":
             actions.insert(1, "possible-edges")
@@ -420,55 +435,62 @@ def build_parser() -> argparse.ArgumentParser:
             _add_source_arguments(leaf, with_order2=(name == "trim"))
             leaf.set_defaults(func=handler, action=action)
 
-    betti = sub.add_parser("betti", help="Betti numbers from the exact oracle")
-    _add_source_arguments(betti)
-    betti.add_argument("--multigraded", action="store_true", help="include the multigraded table")
-    betti.set_defaults(func=_cmd_betti)
+    if "betti" in chosen:
+        betti = sub.add_parser("betti", help="Betti numbers from the exact oracle")
+        _add_source_arguments(betti)
+        betti.add_argument("--multigraded", action="store_true", help="include the multigraded table")
+        betti.set_defaults(func=_cmd_betti)
 
-    check = sub.add_parser("check", help="validate matchings, d^2 = 0 and homology vs the oracle")
-    _add_source_arguments(check, with_order2=True)
-    check.add_argument("--kind", choices=("all",) + _CHECK_KINDS, default="all")
-    check.set_defaults(func=_cmd_check)
+    if "check" in chosen:
+        check = sub.add_parser("check", help="validate matchings, d^2 = 0 and homology vs the oracle")
+        _add_source_arguments(check, with_order2=True)
+        check.add_argument("--kind", choices=("all",) + _CHECK_KINDS, default="all")
+        check.set_defaults(func=_cmd_check)
 
-    friendly = sub.add_parser("friendly", help="bridge-friendliness for the given order")
-    _add_source_arguments(friendly)
-    friendly.set_defaults(func=_cmd_friendly)
+    if "friendly" in chosen:
+        friendly = sub.add_parser("friendly", help="bridge-friendliness for the given order")
+        _add_source_arguments(friendly)
+        friendly.set_defaults(func=_cmd_friendly)
 
-    flist = sub.add_parser("friendly-list", help="orders under which the ideal is bridge-friendly")
-    _add_source_arguments(flist)
-    flist.add_argument("--workers", type=_int_at_least(1), default=1)
-    flist.add_argument("--force", action="store_true", help="ignore the n! search guard")
-    flist.set_defaults(func=_cmd_friendly_list)
+    if "friendly-list" in chosen:
+        flist = sub.add_parser("friendly-list", help="orders under which the ideal is bridge-friendly")
+        _add_source_arguments(flist)
+        flist.add_argument("--workers", type=_int_at_least(1), default=1)
+        flist.add_argument("--force", action="store_true", help="ignore the n! search guard")
+        flist.set_defaults(func=_cmd_friendly_list)
 
-    msearch = sub.add_parser("minimal-search", help="search orders for minimal pairing ranks")
-    _add_source_arguments(msearch)
-    msearch.add_argument("--mode", choices=("first-hit", "exhaustive"), default="first-hit")
-    msearch.add_argument("--workers", type=_int_at_least(1), default=1)
-    msearch.add_argument("--force", action="store_true", help="ignore the n! search guard")
-    msearch.add_argument(
-        "--limit", type=_int_at_least(0), default=None, help="cap the number of orders tried"
-    )
-    msearch.set_defaults(func=_cmd_minimal_search)
+    if "minimal-search" in chosen:
+        msearch = sub.add_parser("minimal-search", help="search orders for minimal pairing ranks")
+        _add_source_arguments(msearch)
+        msearch.add_argument("--mode", choices=("first-hit", "exhaustive"), default="first-hit")
+        msearch.add_argument("--workers", type=_int_at_least(1), default=1)
+        msearch.add_argument("--force", action="store_true", help="ignore the n! search guard")
+        msearch.add_argument(
+            "--limit", type=_int_at_least(0), default=None, help="cap the number of orders tried"
+        )
+        msearch.set_defaults(func=_cmd_minimal_search)
 
-    gen = sub.add_parser("gen", help="emit ideal files for built-in families")
-    gsub = gen.add_subparsers(dest="family", required=True)
-    gcycle = gsub.add_parser("cycle")
-    gcycle.add_argument("n", type=int)
-    gcycle.set_defaults(func=_cmd_gen, family="cycle")
-    ggraph = gsub.add_parser("graph")
-    ggraph.add_argument("file")
-    ggraph.set_defaults(func=_cmd_gen, family="graph")
-    grandom = gsub.add_parser("random")
-    grandom.add_argument("seed", type=int)
-    grandom.add_argument("n_vars", type=int)
-    grandom.add_argument("n_gens", type=int)
-    grandom.set_defaults(func=_cmd_gen, family="random")
+    if "gen" in chosen:
+        gen = sub.add_parser("gen", help="emit ideal files for built-in families")
+        gsub = gen.add_subparsers(dest="family", required=True)
+        gcycle = gsub.add_parser("cycle")
+        gcycle.add_argument("n", type=int)
+        gcycle.set_defaults(func=_cmd_gen, family="cycle")
+        ggraph = gsub.add_parser("graph")
+        ggraph.add_argument("file")
+        ggraph.set_defaults(func=_cmd_gen, family="graph")
+        grandom = gsub.add_parser("random")
+        grandom.add_argument("seed", type=int)
+        grandom.add_argument("n_vars", type=int)
+        grandom.add_argument("n_gens", type=int)
+        grandom.set_defaults(func=_cmd_gen, family="random")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, SearchWorkerError) as exc:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import divides
 from .taylor import TaylorComplex, cardinality, cell_members
 
 
@@ -182,71 +181,32 @@ def is_bridge_friendly(tc: TaylorComplex) -> bool:
     return {(pe.source, pe.target) for pe in possible} == matching.edge_set
 
 
-def _lyu_scan(tc: TaylorComplex, cell: int) -> tuple[int, int] | None:
-    """Return (value, prefix mask) of the deepest divisible prefix, or None.
-
-    The cell is listed in descending order; the value is the largest k such
-    that some generator strictly below the k-th listed member divides the lcm
-    of the first k members.
-    """
-    if cell == 0:
-        raise ValueError("the empty cell has no Lyubeznik value")
-    desc = sorted(cell_members(cell), reverse=True)
-    gens = tc.ideal.generators
-    prefixes = []
-    mask = 0
-    for i in desc:
-        mask |= 1 << i
-        prefixes.append((i, mask))
-    for k in range(len(desc), 0, -1):
-        i, mask = prefixes[k - 1]
-        label = tc.lcm(mask)
-        for j in range(i):
-            if divides(gens[j], label):
-                return k, mask
-    return None
-
-
-def lyu_value(tc: TaylorComplex, cell: int) -> int | None:
-    """Depth of the deepest prefix whose lcm a strictly smaller generator
-    divides; None plays the role of minus infinity."""
-    scan = _lyu_scan(tc, cell)
-    return scan[0] if scan else None
-
-
-def lyu_min(tc: TaylorComplex, cell: int) -> int:
-    """Index of the smallest generator dividing the lcm of that prefix."""
-    scan = _lyu_scan(tc, cell)
-    if scan is None:
-        raise ValueError("cell has no Lyubeznik value (it is minus infinity)")
-    _, mask = scan
-    label = tc.lcm(mask)
-    gens = tc.ideal.generators
-    for j in range(tc.n):
-        if divides(gens[j], label):
-            return j
-    raise AssertionError("a prefix member always divides the prefix lcm")
-
-
 def lyubeznik_matching(tc: TaylorComplex) -> Matching:
     """The Lyubeznik matching of the ideal with respect to its order.
 
-    Every cell with a finite value contributes the unordered pair obtained by
-    adding and removing its minimal divisor; duplicates collapse.  The result
-    is validated and a failure raises, since it would signal a bug in the
-    value computation rather than bad input.
+    List a cell in descending order.  Its value is the depth of the deepest
+    prefix whose lcm a generator strictly below the prefix's last member
+    divides, and its minimal divisor is the smallest generator dividing that
+    lcm; a cell without such a prefix has value minus infinity.  Every cell
+    with a finite value contributes the unordered pair obtained by adding and
+    removing its minimal divisor; duplicates collapse.  The result is
+    validated and a failure raises, since it would signal a bug in the value
+    computation rather than bad input.
     """
+    masks = tc.divisor_masks()
     pairs: set[tuple[int, int]] = set()
-    gens_n = tc.n
-    for cell in range(1, 1 << gens_n):
-        scan = _lyu_scan(tc, cell)
-        if scan is None:
-            continue
-        _, mask = scan
-        label = tc.lcm(mask)
-        gens = tc.ideal.generators
-        ml = next(j for j in range(gens_n) if divides(gens[j], label))
-        pairs.add((cell | (1 << ml), cell & ~(1 << ml)))
+    for cell in range(1, 1 << tc.n):
+        # prefixes deepest first: drop the lowest member until a generator
+        # below it divides the prefix lcm; the lowest such is the divisor
+        prefix = cell
+        while prefix:
+            low = prefix & -prefix
+            below = masks[prefix] & (low - 1)
+            if below:
+                ml = below & -below
+                pairs.add((cell | ml, cell & ~ml))
+                break
+            prefix ^= low
     matching = Matching.from_pairs(pairs)
     report = validate_matching(tc, matching)
     if not report.all_ok:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import multiprocessing
 import operator
 import os
 import re
@@ -263,6 +262,8 @@ def _run_chunks(worker, bounds_list, workers, progress, total, stop_early):
             if stop_early and result:
                 return
         return
+    import multiprocessing  # here, not at the top: only the pool needs it
+
     stop = multiprocessing.Event()
     pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(_WORK, stop))
     try:

@@ -48,7 +48,7 @@ class TaylorComplex:
     built on first use and then shared by every caller.
     """
 
-    __slots__ = ("ideal", "n", "lcms", "_class_cache", "_bridge_cache")
+    __slots__ = ("ideal", "n", "lcms", "_class_cache", "_bridge_cache", "_divisor_cache")
 
     def __init__(self, ideal: MonomialIdeal, lcms: list[Monomial]):
         self.ideal = ideal
@@ -56,6 +56,7 @@ class TaylorComplex:
         self.lcms = lcms
         self._class_cache = None
         self._bridge_cache = None
+        self._divisor_cache = None
 
     def lcm(self, cell: int) -> Monomial:
         return self.lcms[cell]
@@ -105,6 +106,21 @@ class TaylorComplex:
                         table[c] = tuple(self.bridges(c))
             self._bridge_cache = tuple(table)
         return self._bridge_cache
+
+    def divisor_masks(self) -> tuple[int, ...]:
+        """For every cell, the bitmask of the generators dividing its lcm,
+        indexed by cell mask (cached).
+
+        Adding a generator that divides a label to a cell keeps the label,
+        so the largest cell of a label's class holds exactly those generators.
+        """
+        if self._divisor_cache is None:
+            table = [0] * len(self.lcms)
+            for cells in self.classes().values():
+                for c in cells:
+                    table[c] = cells[-1]
+            self._divisor_cache = tuple(table)
+        return self._divisor_cache
 
 
 def build_taylor(ideal: MonomialIdeal, max_generators: int = DEFAULT_MAX_GENERATORS) -> TaylorComplex:

@@ -3,7 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from morseideals import incidence_sign, parse_ideal, random_squarefree_ideal
+from morseideals import (
+    Matching,
+    cell_members,
+    divides,
+    incidence_sign,
+    parse_ideal,
+    random_squarefree_ideal,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -25,6 +32,15 @@ def tri():
 @pytest.fixture(scope="session")
 def ex56():
     return load_fixture_ideal("ex56.ideal")
+
+
+# every degree-3 monomial in 3 variables: 10 generators, not squarefree
+CUBICS = "vars: x y z\ngens: x^3 x^2*y x^2*z x*y^2 x*y*z x*z^2 y^3 y^2*z y*z^2 z^3\n"
+
+# every degree-4 monomial in 3 variables but x2*x3^3 and x3^4
+POWER_IDEAL = """vars: x1 x2 x3
+gens: x1^4 x1^3*x2 x1^3*x3 x1^2*x2^2 x1^2*x2*x3 x1^2*x3^2 x1*x2^3 x1*x2^2*x3 x1*x2*x3^2 x1*x3^3 x2^4 x2^3*x3 x2^2*x3^2
+"""
 
 
 def corpus_ideals(count=100):
@@ -149,3 +165,66 @@ def naive_bridge_table(tc):
         )
         for cell in range(1 << tc.n)
     )
+
+
+def naive_divisor_masks(tc):
+    """For every cell, the mask of the generators dividing its lcm,
+    recomputed from the exponents; reference for ``TaylorComplex.divisor_masks``."""
+    gens = [g.exponents for g in tc.ideal.generators]
+    table = []
+    for cell in range(1 << tc.n):
+        label = _cell_lcm_exponents(tc.ideal, cell)
+        table.append(sum(1 << j for j, g in enumerate(gens) if all(map(int.__le__, g, label))))
+    return tuple(table)
+
+
+def lyu_scan(tc, cell):
+    """(value, prefix mask) of the deepest divisible prefix, or None.
+
+    The cell is listed in descending order; the value is the largest k such
+    that some generator strictly below the k-th listed member divides the lcm
+    of the first k members.  Reference for ``lyubeznik_matching``, built on
+    the validating ``divides`` rather than the divisor masks.
+    """
+    if cell == 0:
+        raise ValueError("the empty cell has no Lyubeznik value")
+    desc = sorted(cell_members(cell), reverse=True)
+    gens = tc.ideal.generators
+    mask = 0
+    prefixes = []
+    for i in desc:
+        mask |= 1 << i
+        prefixes.append((i, mask))
+    for k in range(len(desc), 0, -1):
+        i, mask = prefixes[k - 1]
+        label = tc.lcm(mask)
+        if any(divides(gens[j], label) for j in range(i)):
+            return k, mask
+    return None
+
+
+def lyu_value(tc, cell):
+    """Depth of the deepest prefix whose lcm a strictly smaller generator
+    divides; None plays the role of minus infinity."""
+    scan = lyu_scan(tc, cell)
+    return scan[0] if scan else None
+
+
+def lyu_min(tc, cell):
+    """Index of the smallest generator dividing the lcm of that prefix."""
+    scan = lyu_scan(tc, cell)
+    if scan is None:
+        raise ValueError("cell has no Lyubeznik value (it is minus infinity)")
+    label = tc.lcm(scan[1])
+    return next(j for j, g in enumerate(tc.ideal.generators) if divides(g, label))
+
+
+def reference_lyubeznik_matching(tc):
+    """The Lyubeznik matching built cell by cell from ``lyu_scan``: each cell
+    with a value pairs with itself plus or minus its ``lyu_min``."""
+    pairs = set()
+    for cell in range(1, 1 << tc.n):
+        if lyu_scan(tc, cell) is not None:
+            bit = 1 << lyu_min(tc, cell)
+            pairs.add((cell | bit, cell & ~bit))
+    return Matching.from_pairs(pairs)

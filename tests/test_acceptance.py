@@ -28,8 +28,6 @@ from morseideals import (
     homology_ranks,
     is_bridge_friendly,
     is_minimal,
-    lyu_min,
-    lyu_value,
     lyubeznik_matching,
     morse_differential,
     possible_edges,
@@ -43,7 +41,7 @@ from morseideals import (
 from morseideals.cli import main
 from morseideals.families import SplitMix64
 from morseideals.matching import PossibleEdge, _possible_edges_in_order, _resolve_duplicate_targets
-from conftest import naive_homology_ranks, naive_rank
+from conftest import lyu_min, lyu_value, naive_homology_ranks, naive_rank
 
 WORKERS = 2
 

@@ -185,6 +185,21 @@ def test_main_calls_in_one_process_do_not_leak(capsys):
     assert code == 0 and out == GOLDEN_CHECK_RUN4
 
 
+def test_one_subcommand_parser_speaks_like_the_whole_tree(capsys):
+    whole = build_parser()
+    for name in cli._COMMANDS:
+        one = build_parser(name)
+        assert one.format_usage() == whole.format_usage()
+        # its own help, and an error reported with the top-level usage
+        for argv in ([name, "--help"], [name, "-i", RUN4, "surplus"]):
+            seen = []
+            for parser in (whole, one):
+                with pytest.raises(SystemExit) as info:
+                    parser.parse_args(argv)
+                seen.append((info.value.code, capsys.readouterr()))
+            assert seen[0] == seen[1], argv
+
+
 def test_interrupt_is_one_error_line(capsys, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt

@@ -22,7 +22,14 @@ from morseideals import (
 )
 from morseideals.families import SplitMix64
 from morseideals.homology import _rank_rows, sparse_rank
-from conftest import corpus_ideals, naive_betti_numbers, naive_homology_ranks, naive_rank
+from conftest import (
+    CUBICS,
+    POWER_IDEAL,
+    corpus_ideals,
+    naive_betti_numbers,
+    naive_homology_ranks,
+    naive_rank,
+)
 
 
 def test_exact_rank_basics():
@@ -223,10 +230,6 @@ def test_rank_rows_against_rational_oracle():
         assert sparse_rank(entries) == expected
 
 
-# every degree-3 monomial in 3 variables: 10 generators, not squarefree
-CUBICS = "vars: x y z\ngens: x^3 x^2*y x^2*z x*y^2 x*y*z x*z^2 y^3 y^2*z y*z^2 z^3\n"
-
-
 def test_betti_numbers_match_dense_blocks(run4, ex56):
     ideals = [cycle_edge_ideal(n) for n in range(3, 9)] + [run4, ex56, parse_ideal(CUBICS)]
     ideals += corpus_ideals(100)
@@ -236,13 +239,7 @@ def test_betti_numbers_match_dense_blocks(run4, ex56):
         assert (table.totals, table.multigraded) == naive_betti_numbers(tc), format_ideal(ideal)
 
 
-POWER_IDEAL = """vars: x1 x2 x3
-gens: x1^4 x1^3*x2 x1^3*x3 x1^2*x2^2 x1^2*x2*x3 x1^2*x3^2 x1*x2^3 x1*x2^2*x3 x1*x2*x3^2 x1*x3^3 x2^4 x2^3*x3 x2^2*x3^2
-"""
-
-
 def test_betti_power_ideal_row():
-    # every degree-4 monomial in 3 variables but x2*x3^3 and x3^4
     table = betti_numbers(build_taylor(parse_ideal(POWER_IDEAL)))
     assert table.totals == (1, 13, 20, 8) + (0,) * 10
     assert _column_sums(table) == table.totals

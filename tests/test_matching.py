@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,10 +12,10 @@ from morseideals import (
     cell_of,
     critical_cells,
     critical_family,
+    cycle_edge_ideal,
     is_bridge_friendly,
-    lyu_min,
-    lyu_value,
     lyubeznik_matching,
+    parse_ideal,
     possible_edges,
     possible_edges_with_positions,
     trimmed_matching,
@@ -26,7 +27,14 @@ from morseideals.matching import (
     _possible_edges_in_order,
     _resolve_duplicate_targets,
 )
-from conftest import corpus_ideals
+from conftest import (
+    CUBICS,
+    POWER_IDEAL,
+    corpus_ideals,
+    lyu_min,
+    lyu_value,
+    reference_lyubeznik_matching,
+)
 
 FULL = 0b1111
 
@@ -114,6 +122,16 @@ def test_lyubeznik_single_generator():
     ctx = VariableContext(("x", "y"))
     single = MonomialIdeal(ctx, (ctx.monomial("x*y"),))
     assert len(lyubeznik_matching(build_taylor(single))) == 0
+
+
+def test_lyubeznik_matching_equals_divides_reference(run4, ex56):
+    ideals = [cycle_edge_ideal(n) for n in range(3, 9)] + [run4, ex56, *corpus_ideals()]
+    ideals += [parse_ideal(POWER_IDEAL), parse_ideal(CUBICS)]
+    for base in (run4, cycle_edge_ideal(5)):
+        ideals += [base.reordered(p) for p in itertools.permutations(range(base.n))]
+    for ideal in ideals:
+        tc = build_taylor(ideal)
+        assert lyubeznik_matching(tc) == reference_lyubeznik_matching(tc), ideal.generator_strings
 
 
 def test_trimmed_matching_running_ideal(run4):

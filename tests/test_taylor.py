@@ -8,12 +8,19 @@ from morseideals import (
     cell_of,
     cycle_edge_ideal,
     incidence_sign,
+    parse_ideal,
     taylor_chain_complex,
     taylor_differential,
     verify_complex,
 )
 from morseideals.taylor import facet_sign
-from conftest import corpus_ideals, naive_bridge_table, naive_classes
+from conftest import (
+    CUBICS,
+    corpus_ideals,
+    naive_bridge_table,
+    naive_classes,
+    naive_divisor_masks,
+)
 
 
 def test_cell_helpers():
@@ -69,6 +76,7 @@ def test_small_cells_never_have_bridges_on_corpus():
 
 def test_cached_tables_match_recomputation(run4, ex56):
     ideals = [cycle_edge_ideal(n) for n in range(3, 9)] + [run4, ex56, *corpus_ideals()]
+    ideals.append(parse_ideal(CUBICS))
     for ideal in ideals:
         tc = build_taylor(ideal)
         classes = tc.classes()
@@ -76,8 +84,11 @@ def test_cached_tables_match_recomputation(run4, ex56):
         assert all(tc.lcm(c) is label for label, cells in classes.items() for c in cells)
         table = tc.bridge_table()
         assert table == naive_bridge_table(tc)
+        masks = tc.divisor_masks()
+        assert masks == naive_divisor_masks(tc)
         # built once, then shared
         assert tc.classes() is classes and tc.bridge_table() is table
+        assert tc.divisor_masks() is masks
 
 
 def test_cached_classes_are_read_only(run4):
@@ -90,6 +101,8 @@ def test_cached_classes_are_read_only(run4):
         classes[label].append(0)
     with pytest.raises(TypeError):
         tc.bridge_table()[0b1111] = ()
+    with pytest.raises(TypeError):
+        tc.divisor_masks()[0b1111] = 0
 
 
 def test_smallest_bridge(run4):
