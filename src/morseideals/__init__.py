@@ -44,7 +44,6 @@ from .matching import (
 from .morse import (
     MorseComplex,
     complex_to_json,
-    enumerate_gradient_paths,
     is_minimal,
     morse_differential,
     ranks,

@@ -13,7 +13,7 @@ sign; the empty path contributes 1.  The convention is validated behaviorally
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from operator import sub
 
 from .algebra import Monomial, MonomialIdeal
 from .matching import Matching, validate_matching
@@ -109,34 +109,6 @@ def transfer(tc: TaylorComplex, matching: Matching, cell: int, memo: dict | None
     if memo is None:
         memo = {}
     return dict(_resolve_transfer(matching.source_by_target, matching.source_cells, cell, memo))
-
-
-def enumerate_gradient_paths(tc: TaylorComplex, matching: Matching, cell: int):
-    """Yield ``(critical_cell, weight)`` once per gradient path from ``cell``.
-
-    Exponential path expansion used as a debug cross-check of the memoized
-    transfer on small ideals.
-    """
-    source_of = matching.source_by_target
-    source_cells = matching.source_cells
-
-    def walk(tau, weight, seen):
-        if tau in source_cells:
-            return
-        c = source_of.get(tau)
-        if c is None:
-            yield tau, weight
-            return
-        if tau in seen:
-            raise ValueError("matching is not acyclic: gradient path loops")
-        up = -incidence_sign(c, tau)
-        for j in cell_members(c):
-            facet = c ^ (1 << j)
-            if facet == tau:
-                continue
-            yield from walk(facet, weight * up * incidence_sign(c, facet), seen | {tau})
-
-    yield from walk(cell, 1, frozenset())
 
 
 def morse_differential(
@@ -256,25 +228,66 @@ def verify_complex(mc: MorseComplex) -> bool:
     """Check that consecutive differentials compose to zero.
 
     Entries are expanded as coefficient times monomial factor and the
-    products are accumulated per (row, column, multidegree), the multidegree
-    being the summed exponent vectors of the two factors; every bucket must
-    cancel to zero.
+    products are accumulated per (row, column, multidegree); every bucket
+    must cancel to zero.  Each bucket key is one int.  Every distinct factor
+    is packed once, with one bit field per variable: variable ``v`` stores
+    ``e - lo`` in ``(2 * (hi - lo)).bit_length()`` bits, where ``lo`` and
+    ``hi`` are its least and greatest exponents over all factors.  The sum
+    of two fields is at most ``2 * (hi - lo)`` and never carries into the
+    next one, so the sum of two packed factors is exactly the packed
+    multidegree of their product, negative exponents included.  Row indices
+    sit above the exponent fields and column indices above the rows, so
+    one addition gives the key of a product.  A factor whose exponent count
+    differs from the ideal's variable count raises ValueError.
     """
-    for low, high in zip(mc.differentials, mc.differentials[1:]):
-        if low.cols != high.rows:
-            raise AssertionError("differential bases are misaligned")
-        low_by_mid: dict[int, list] = {}
-        for (r, mid), entry in low.entries.items():
-            low_by_mid.setdefault(mid, []).append(
-                (r, entry.coefficient, entry.monomial_factor.exponents)
+    differentials = mc.differentials
+    size = mc.ideal.context.size
+    distinct = {
+        entry.monomial_factor.exponents
+        for matrix in differentials
+        for entry in matrix.entries.values()
+    }
+    for exponents in distinct:
+        if len(exponents) != size:
+            raise ValueError(
+                f"expected {size} exponents in a monomial factor, got {len(exponents)}"
             )
-        acc: dict = {}
-        for (mid, c), high_entry in high.entries.items():
-            coefficient = high_entry.coefficient
-            exponents = high_entry.monomial_factor.exponents
-            for r, low_coefficient, low_exponents in low_by_mid.get(mid, ()):
-                key = (r, c, tuple(map(add, low_exponents, exponents)))
-                acc[key] = acc.get(key, 0) + low_coefficient * coefficient
-        if any(acc.values()):
-            return False
+    fields = []
+    row_shift = 0
+    for v, column in enumerate(zip(*distinct)):
+        lo = min(column)
+        width = (2 * (max(column) - lo)).bit_length()
+        if width:
+            fields.append((v, lo, row_shift))
+            row_shift += width
+    packed = {
+        exponents: sum((exponents[v] - lo) << shift for v, lo, shift in fields)
+        for exponents in distinct
+    }
+    col_shift = row_shift + max((len(m.rows) for m in differentials), default=0).bit_length()
+
+    low_by_mid = low_cols = None
+    for matrix in differentials:
+        if low_by_mid is not None and low_cols != matrix.rows:
+            raise AssertionError("differential bases are misaligned")
+        num_rows = len(matrix.rows)
+        by_col: dict[int, list] = {}
+        high = []
+        for (r, c), entry in matrix.entries.items():
+            if not 0 <= r < num_rows:
+                raise ValueError(f"row index {r} out of range for {num_rows} rows")
+            coefficient = entry.coefficient
+            factor = packed[entry.monomial_factor.exponents]
+            by_col.setdefault(c, []).append((factor + (r << row_shift), coefficient))
+            high.append((r, factor + (c << col_shift), coefficient))
+        if low_by_mid is not None:
+            acc: dict[int, int] = {}
+            for mid, high_key, high_coefficient in high:
+                for low_key, low_coefficient in low_by_mid.get(mid, ()):
+                    key = low_key + high_key
+                    acc[key] = acc.get(key, 0) + low_coefficient * high_coefficient
+            if any(acc.values()):
+                return False
+        low_by_mid = by_col
+        low_cols = matrix.cols
     return True

@@ -228,3 +228,58 @@ def reference_lyubeznik_matching(tc):
             bit = 1 << lyu_min(tc, cell)
             pairs.add((cell | bit, cell & ~bit))
     return Matching.from_pairs(pairs)
+
+
+def enumerate_gradient_paths(tc, matching, cell):
+    """Yield ``(critical_cell, weight)`` once per gradient path from ``cell``.
+
+    Exponential path expansion; reference for the memoized ``transfer`` on
+    small ideals.
+    """
+    source_of = matching.source_by_target
+    source_cells = matching.source_cells
+
+    def walk(tau, weight, seen):
+        if tau in source_cells:
+            return
+        c = source_of.get(tau)
+        if c is None:
+            yield tau, weight
+            return
+        if tau in seen:
+            raise ValueError("matching is not acyclic: gradient path loops")
+        up = -incidence_sign(c, tau)
+        for j in cell_members(c):
+            facet = c ^ (1 << j)
+            if facet == tau:
+                continue
+            yield from walk(facet, weight * up * incidence_sign(c, facet), seen | {tau})
+
+    yield from walk(cell, 1, frozenset())
+
+
+def naive_verify_complex(mc):
+    """d² = 0 with every product bucketed by ``(row, col, multidegree)``.
+
+    The multidegree is the exponent tuple of the product, summed entry by
+    entry and kept as a tuple; no packing.  ``Monomial.__mul__`` is not used
+    because it rejects the negative and oversized exponents that the packing
+    tests feed in.  Reference for ``verify_complex``.
+    """
+    size = mc.ideal.context.size
+    for low, high in zip(mc.differentials, mc.differentials[1:]):
+        assert low.cols == high.rows
+        high_by_mid = {}
+        for (mid, c), entry in high.entries.items():
+            high_by_mid.setdefault(mid, []).append((c, entry))
+        buckets = {}
+        for (r, mid), low_entry in low.entries.items():
+            for c, high_entry in high_by_mid.get(mid, ()):
+                a = low_entry.monomial_factor.exponents
+                b = high_entry.monomial_factor.exponents
+                assert len(a) == len(b) == size
+                key = (r, c, tuple(x + y for x, y in zip(a, b)))
+                buckets[key] = buckets.get(key, 0) + low_entry.coefficient * high_entry.coefficient
+        if any(buckets.values()):
+            return False
+    return True

@@ -9,11 +9,12 @@ from morseideals import (
     bm_matching,
     build_taylor,
     critical_family,
-    enumerate_gradient_paths,
+    cycle_edge_ideal,
     homology_ranks,
     is_minimal,
     lyubeznik_matching,
     morse_differential,
+    parse_ideal,
     quotient,
     ranks,
     taylor_chain_complex,
@@ -21,9 +22,17 @@ from morseideals import (
     trimmed_matching,
     verify_complex,
 )
+from morseideals.algebra import MAX_EXPONENT
 from morseideals.morse import MorseComplex, _resolve_transfer
 from morseideals.taylor import DifferentialEntry, DifferentialMatrix
-from conftest import corpus_ideals
+from conftest import (
+    CUBICS,
+    POWER_IDEAL,
+    corpus_ideals,
+    enumerate_gradient_paths,
+    load_fixture_ideal,
+    naive_verify_complex,
+)
 
 
 def test_transfer_trivial_cases(run4):
@@ -125,22 +134,21 @@ def test_morse_family_closure_checked(run4):
         morse_differential(tc, Matching.from_pairs(()), family=[0, 0b0011])
 
 
+def _with_entry(mc, degree, key, change):
+    """``mc`` with entry ``key`` of differential ``degree`` (1-based) replaced
+    by ``change(entry)``."""
+    target = mc.differentials[degree - 1]
+    mutated_entries = dict(target.entries)
+    mutated_entries[key] = change(target.entries[key])
+    differentials = list(mc.differentials)
+    differentials[degree - 1] = DifferentialMatrix(target.rows, target.cols, mutated_entries)
+    return MorseComplex(mc.ideal, mc.basis, tuple(differentials))
+
+
 def _with_first_entry(mc, change):
     """``mc`` with the first entry of its degree-2 differential replaced by
     ``change(entry)``."""
-    target = mc.differentials[1]
-    (key, entry), *_ = sorted(target.entries.items())
-    mutated_entries = dict(target.entries)
-    mutated_entries[key] = change(entry)
-    return MorseComplex(
-        mc.ideal,
-        mc.basis,
-        (
-            mc.differentials[0],
-            DifferentialMatrix(target.rows, target.cols, mutated_entries),
-            *mc.differentials[2:],
-        ),
-    )
+    return _with_entry(mc, 2, min(mc.differentials[1].entries), change)
 
 
 def test_verify_complex_detects_flipped_sign(run4):
@@ -188,3 +196,197 @@ def test_zero_and_single_generator_complexes():
     mc = morse_differential(build_taylor(single), Matching.from_pairs(()))
     assert ranks(mc) == [1, 1]
     assert homology_ranks(mc) == [1, 1]
+
+
+def _check_complexes(ideal):
+    """The complexes of every ``check`` kind: bm, lyubeznik, trimmed, empty."""
+    tc = build_taylor(ideal)
+    lyu = lyubeznik_matching(tc)
+    yield morse_differential(tc, bm_matching(tc))
+    yield morse_differential(tc, lyu)
+    yield morse_differential(tc, trimmed_matching(tc, tuple(range(ideal.n))), critical_family(tc, lyu))
+    yield morse_differential(tc, Matching.from_pairs(()))
+
+
+def _named_ideal(name):
+    if name in ("POWER_IDEAL", "CUBICS"):
+        return parse_ideal({"POWER_IDEAL": POWER_IDEAL, "CUBICS": CUBICS}[name])
+    if name.startswith("C"):
+        return cycle_edge_ideal(int(name[1:]))
+    return load_fixture_ideal(f"{name}.ideal")
+
+
+@pytest.mark.parametrize(
+    "name", [*(f"C{n}" for n in range(3, 9)), "run4", "ex56", "POWER_IDEAL", "CUBICS"]
+)
+def test_verify_complex_matches_naive_on_check_complexes(name):
+    for mc in _check_complexes(_named_ideal(name)):
+        assert verify_complex(mc) == naive_verify_complex(mc) is True
+
+
+def test_verify_complex_matches_naive_on_the_corpus(corpus):
+    for ideal in corpus:
+        for mc in _check_complexes(ideal):
+            assert verify_complex(mc) == naive_verify_complex(mc) is True, ideal
+
+
+def _taylor_entry_mutations(ideal, change):
+    mc = taylor_chain_complex(build_taylor(ideal))
+    for degree, matrix in enumerate(mc.differentials, start=1):
+        for key in matrix.entries:
+            yield _with_entry(mc, degree, key, change)
+
+
+def test_verify_complex_matches_naive_on_every_sign_flip(run4):
+    flip = lambda entry: DifferentialEntry(-entry.coefficient, entry.monomial_factor)
+    results = [
+        (verify_complex(mc), naive_verify_complex(mc))
+        for mc in _taylor_entry_mutations(run4, flip)
+    ]
+    assert len(results) == 32
+    assert all(got == expected for got, expected in results)
+    # every single flip breaks d^2 = 0
+    assert not any(got for got, _ in results)
+
+
+def test_verify_complex_matches_naive_on_every_factor_change(run4):
+    count = 0
+    for name in run4.context.names:
+        variable = run4.context.monomial(name)
+        times = lambda entry: DifferentialEntry(entry.coefficient, entry.monomial_factor * variable)
+        for mc in _taylor_entry_mutations(run4, times):
+            assert verify_complex(mc) == naive_verify_complex(mc) is False
+            count += 1
+    assert count == 4 * 32
+
+
+XY = VariableContext(("x0", "x1"))
+
+
+def _hand_complex(low, high):
+    """Two differentials over ``x0, x1``, each given as
+    ``{(row, col): (coefficient, exponents)}``.  Factors are built with
+    ``Monomial.trusted``, so any exponents go through."""
+
+    def matrix(entries, rows, cols):
+        return DifferentialMatrix(
+            rows,
+            cols,
+            {
+                key: DifferentialEntry(coefficient, Monomial.trusted(XY, tuple(exponents)))
+                for key, (coefficient, exponents) in entries.items()
+            },
+        )
+
+    sizes = (
+        1 + max(r for r, _ in low),
+        1 + max(max(c for _, c in low), max(r for r, _ in high)),
+        1 + max(c for _, c in high),
+    )
+    cells = iter(range(sum(sizes)))
+    basis = tuple(tuple(next(cells) for _ in range(size)) for size in sizes)
+    return MorseComplex(
+        MonomialIdeal(XY, ()),
+        basis,
+        (matrix(low, basis[0], basis[1]), matrix(high, basis[1], basis[2])),
+    )
+
+
+def _two_step_complex(low_factors, high_factors):
+    """Basis sizes 1, 2, 1: ``d1 = [a0 a1]`` and ``d2 = [b0; b1]``."""
+    return _hand_complex(
+        {(0, k): factor for k, factor in enumerate(low_factors)},
+        {(k, 0): factor for k, factor in enumerate(high_factors)},
+    )
+
+
+def test_verify_complex_keeps_a_doubled_exponent_in_its_field():
+    # x0 * x0 - 1 * x1: a field one bit narrower would carry x0^2 into x1
+    mc = _two_step_complex([(1, (1, 0)), (1, (0, 0))], [(1, (1, 0)), (-1, (0, 1))])
+    assert verify_complex(mc) == naive_verify_complex(mc) is False
+    mc = _two_step_complex([(1, (1, 0)), (1, (0, 0))], [(1, (1, 0)), (-1, (2, 0))])
+    assert verify_complex(mc) == naive_verify_complex(mc) is True
+
+
+def test_verify_complex_at_the_exponent_bound():
+    top = MAX_EXPONENT
+    cases = [
+        # x0^top * x1^top - x1^top * x0^top
+        ([(1, (top, 0)), (1, (0, top))], [(1, (0, top)), (-1, (top, 0))], True),
+        # x0^(2 top) against x0^top * x1^top
+        ([(1, (top, 0)), (1, (0, top))], [(1, (top, 0)), (-1, (top, 0))], False),
+        # x0^(2 top) against x0^(2 top - 1) * x1
+        ([(1, (top, 0)), (1, (top - 1, 1))], [(1, (top, 0)), (-1, (top, 0))], False),
+        # equal products, reached through the top of both fields
+        ([(1, (top, top)), (1, (top, top - 1))], [(1, (0, 0)), (-1, (0, 1))], True),
+    ]
+    for low, high, expected in cases:
+        mc = _two_step_complex(low, high)
+        assert verify_complex(mc) == naive_verify_complex(mc) is expected, (low, high)
+
+
+def test_verify_complex_with_negative_exponents():
+    cases = [
+        # x0^-1 - 1 must not cancel
+        ([(1, (-1, 0)), (1, (0, 0))], [(1, (0, 0)), (-1, (0, 0))], False),
+        # x0^-1 * x0 - 1 * 1 cancels
+        ([(1, (-1, 0)), (1, (0, 0))], [(1, (1, 0)), (-1, (0, 0))], True),
+        # x0^-3 * x1 - x1^-2 * x0^-3 * x1^3
+        ([(1, (-3, 0)), (1, (0, -2))], [(1, (0, 1)), (-1, (-3, 3))], True),
+        # x0^-2 * x1^-1 against x0^-1 * x1^-2
+        ([(1, (-1, -1)), (1, (0, -2))], [(1, (-1, 0)), (-1, (-1, 0))], False),
+    ]
+    for low, high, expected in cases:
+        mc = _two_step_complex(low, high)
+        assert verify_complex(mc) == naive_verify_complex(mc) is expected, (low, high)
+
+
+def test_verify_complex_rejects_a_factor_of_the_wrong_length(run4):
+    mc = taylor_chain_complex(build_taylor(run4))
+    for exponents in ((1, 0, 0), (1, 0, 0, 0, 0)):
+        short = Monomial.trusted(run4.context, exponents)
+        mutated = _with_first_entry(mc, lambda entry: DifferentialEntry(entry.coefficient, short))
+        with pytest.raises(ValueError, match=f"expected 4 exponents in a monomial factor, got {len(exponents)}"):
+            verify_complex(mutated)
+
+
+def test_verify_complex_keeps_rows_and_columns_apart():
+    # each pair of products cancels only if the row or column index leaks
+    # into the exponent fields, or the column index into the row index
+    cases = [
+        # rows 0 and 1 against x0 in the lowest field: x0 - 1
+        ({(0, 0): (1, (1, 0)), (1, 0): (-1, (0, 0))}, {(0, 0): (1, (0, 0))}),
+        # rows 0 and 1 against the top bit of the x0 field: x0^2 - 1
+        (
+            {(0, 0): (1, (1, 0)), (1, 1): (-1, (0, 0))},
+            {(0, 0): (1, (1, 0)), (1, 0): (1, (0, 0))},
+        ),
+        # (row 1, column 0) against (row 0, column 1), every factor 1
+        (
+            {(1, 0): (1, (0, 0)), (0, 1): (-1, (0, 0))},
+            {(0, 0): (1, (0, 0)), (1, 1): (1, (0, 0))},
+        ),
+        # columns 1 and 0 against x0 in the lowest field
+        (
+            {(0, 0): (1, (0, 0)), (0, 1): (-1, (1, 0))},
+            {(0, 1): (1, (0, 0)), (1, 0): (1, (0, 0))},
+        ),
+        # columns 1 and 0 against the top bit of the x0 field
+        (
+            {(0, 0): (1, (0, 0)), (0, 1): (-1, (1, 0))},
+            {(0, 1): (1, (0, 0)), (1, 0): (1, (1, 0))},
+        ),
+    ]
+    for low, high in cases:
+        mc = _hand_complex(low, high)
+        assert verify_complex(mc) == naive_verify_complex(mc) is False, (low, high)
+
+
+def test_verify_complex_rejects_a_row_index_out_of_range():
+    # a negative row index would borrow from the column above it
+    mc = _two_step_complex([(1, (0, 0)), (1, (0, 0))], [(1, (0, 0)), (-1, (0, 0))])
+    low, high = mc.differentials
+    moved = {(-1 if key == (0, 1) else 0, key[1]): entry for key, entry in low.entries.items()}
+    broken = MorseComplex(mc.ideal, mc.basis, (DifferentialMatrix(low.rows, low.cols, moved), high))
+    with pytest.raises(ValueError, match="row index -1 out of range for 1 rows"):
+        verify_complex(broken)
