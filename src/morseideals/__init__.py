@@ -14,7 +14,6 @@ from .algebra import (
     divides,
     format_ideal,
     minimize_generators,
-    monomial_lcm,
     parse_ideal,
     parse_monomial,
     quotient,
@@ -36,7 +35,6 @@ from .matching import (
     critical_family,
     is_bridge_friendly,
     lyubeznik_matching,
-    possible_edges,
     possible_edges_with_positions,
     trimmed_matching,
     validate_matching,
@@ -47,7 +45,6 @@ from .morse import (
     is_minimal,
     morse_differential,
     ranks,
-    taylor_chain_complex,
     transfer,
     verify_complex,
 )
@@ -65,7 +62,6 @@ from .taylor import (
     cell_members,
     cell_of,
     incidence_sign,
-    taylor_differential,
 )
 
 __version__ = "0.1.0"

@@ -120,15 +120,6 @@ def _require_same_context(a: Monomial, b: Monomial) -> None:
         raise ValueError(f"variable context mismatch: {a.context.names} vs {b.context.names}")
 
 
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    """Componentwise maximum of the exponent vectors."""
-    _require_same_context(a, b)
-    if a.is_squarefree and b.is_squarefree:
-        mask = a.support_mask | b.support_mask
-        return Monomial(a.context, tuple((mask >> i) & 1 for i in range(a.context.size)))
-    return Monomial(a.context, tuple(map(max, a.exponents, b.exponents)))
-
-
 def divides(a: Monomial, b: Monomial) -> bool:
     """True iff every exponent of ``a`` is at most the matching exponent of ``b``."""
     _require_same_context(a, b)

@@ -25,7 +25,7 @@ from .matching import (
     trimmed_matching,
     validate_matching,
 )
-from .morse import is_minimal, morse_differential, verify_complex
+from .morse import is_minimal, morse_differential, ranks, verify_complex
 from .search import SearchWorkerError, bridge_friendly_list, bridge_minimal_search
 from .taylor import build_taylor, cell_members
 
@@ -300,7 +300,7 @@ def _cmd_check(args) -> int:
         complex_ = morse_differential(tc, matching, family)
         d2 = verify_complex(complex_)
         homology = homology_ranks(complex_)
-        values = [len(b) for b in complex_.basis]
+        values = ranks(complex_)
         minimal = is_minimal(complex_)
         entry = {
             "kind": kind,

@@ -4,12 +4,34 @@ All constructions consume a :class:`~morseideals.taylor.TaylorComplex` whose
 ideal carries the total order (index = position, smallest first).  Matchings
 are sets of directed facet edges ``(source, target)`` with
 ``target = source minus one member``.
+
+The bridge pairing of the Barile-Macchia and trimmed constructions, and of
+every order that :mod:`morseideals.search` tries, is decided by one kernel,
+:func:`_sweep`, over bitsets indexed by cell mask: bit ``c`` of an ``int``
+stands for cell ``c``.  The payload holds, for each cardinality ``k >= 3``
+and each generator ``g``, the bitset ``rows[k][g]`` of the k-cells that have
+``g`` as a bridge, and the union ``levels[k]`` of these rows.  The sweep goes
+through the levels ``k = n .. 3``.  The live k-cells are those with a bridge
+that no larger cell has taken as its target.  Going through the generators
+in the order's positions, the cells ``S`` among them that have ``g`` as a
+bridge have ``g`` as their smallest bridge; they leave the live set, and
+their targets, the cells minus ``g``, are the bitset ``S >> 2**g``.  A
+target that is met twice at a level is a discard of step (3), so the order
+is not bridge-friendly; the first generator to meet a target has the
+smallest bridge, and its edge is the one kept.  Each target keeps one edge,
+so the critical cells of cardinality k number
+``C(n, k) - |targets[k - 1]| - |targets[k]|``.  Both target sets are final
+once level k is swept, since lower levels only add targets below k - 1; the
+minimal search may therefore drop an order at the first level whose count
+differs from the Betti total without changing any result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .taylor import TaylorComplex, cardinality, cell_members
@@ -79,94 +101,127 @@ class MatchingReport(NamedTuple):
         return self.is_matching and self.is_homogeneous and self.is_acyclic
 
 
-def _sorted_sweep_order(cells: Iterable[int]) -> list[int]:
-    # descending cardinality, ascending mask within each cardinality
-    return sorted(cells, key=lambda c: (-c.bit_count(), c))
+def _payload(tc, target_ranks, family=None):
+    """``(n, rows, levels, counts, target)`` for :func:`_sweep`; with a
+    ``family``, only its cells enter ``rows``."""
+    n = tc.n
+    rows = [[0] * n for _ in range(n + 1)]
+    table = tc.bridge_table()
+    for cell in range(1 << n) if family is None else family:
+        k = cell.bit_count()
+        if k >= 3:
+            bit = 1 << cell
+            for g in table[cell]:
+                rows[k][g] |= bit
+    levels = tuple(reduce(or_, row, 0) for row in rows)
+    counts = tuple(math.comb(n, k) for k in range(n + 1))
+    return (n, tuple(map(tuple, rows)), levels, counts, target_ranks)
 
 
-def _possible_edges_in_order(
-    tc: TaylorComplex,
-    ordered_cells: Sequence[int],
-    family_set: set[int] | frozenset[int] | None = None,
-    positions: Sequence[int] | None = None,
-) -> list[PossibleEdge]:
-    """Run steps (1)-(2) of the bridge-pairing sweep over ``ordered_cells``.
+def _sweep(perm, work, friendly_only=False, record=None):
+    """Bridge-pair the Taylor cells under one order; see the module docstring.
 
-    ``ordered_cells`` must come in descending cardinality; the order within a
-    cardinality level never changes the outcome because a pick only removes a
-    cell of strictly smaller cardinality.  When ``positions`` is given the
-    smallest bridge is taken with respect to those positions instead of the
-    generator indices (used by the trimmed construction and order searches).
+    Returns ``(ranks, friendly)``: the critical cells per cardinality and
+    whether no possible edge is discarded.  Returns None as soon as the
+    order is known to fail: when the payload carries a target and a level's
+    count differs from it, or, with ``friendly_only``, at the first
+    duplicate target.  Given a ``record`` list, appends
+    ``(g, targets, found_before)`` for every generator ``g`` that picks
+    cells: the bitset of their targets and that of the targets picked
+    before it at the same level.
     """
-    removed: set[int] = set()
-    out: list[PossibleEdge] = []
-    ideal_gens = tc.ideal.generators
-    for sigma in ordered_cells:
-        if sigma in removed:
-            continue
-        found = tc.bridges(sigma)
-        if not found:
-            continue
-        if positions is None:
-            sb = found[0]
-            pos = sb
-        else:
-            sb = min(found, key=positions.__getitem__)
-            pos = positions[sb]
-        target = sigma ^ (1 << sb)
-        if family_set is not None and target not in family_set:
-            members = ", ".join(str(ideal_gens[i]) for i in cell_members(sigma))
-            raise ValueError(
-                f"family is not closed under smallest-bridge deletion at cell {{{members}}}"
-            )
-        removed.add(target)
-        out.append(PossibleEdge(pos, sigma, target))
-    return out
+    n, rows, levels, counts, target = work
+    ranks = list(counts)
+    friendly = True
+    below = 0  # targets in level k, picked by the sweep of level k + 1
+    paired = 0  # their number
+    for k in range(n, 2, -1):
+        live = levels[k] & ~below
+        row = rows[k]
+        found = 0
+        for g in perm:
+            hit = live & row[g]
+            if hit:
+                live ^= hit
+                hit >>= 1 << g
+                if record is not None:
+                    record.append((g, hit, found))
+                if found & hit:
+                    if friendly_only:
+                        return None
+                    friendly = False
+                found |= hit
+                if not live:
+                    break
+        ranks[k] -= paired  # k-cells taken as targets
+        below, paired = found, found.bit_count()
+        ranks[k] -= paired  # k-cells that are sources
+        if target is not None and ranks[k] != target[k]:
+            return None
+    if paired:
+        ranks[2] -= paired
+    ranks = tuple(ranks)
+    if target is not None and ranks != target:
+        return None
+    return ranks, friendly
 
 
-def possible_edges_with_positions(
-    tc: TaylorComplex, family: Iterable[int] | None = None
-) -> list[PossibleEdge]:
-    """All bridge pairings before duplicate targets are resolved.
+def _bridge_pairing(
+    tc: TaylorComplex, order: Sequence[int], family: Iterable[int] | None = None
+) -> list[tuple[int, int, int, bool]]:
+    """Every possible edge of the bridge pairing under ``order``.
 
-    Cells are processed by descending cardinality and ascending bitmask; the
-    output keeps that order.  ``family`` restricts the sweep to the given
-    cells (cardinality at least 3) and must contain every produced target.
+    ``order`` lists the generator indices smallest first.  Each edge comes
+    as ``(position, source, target, kept)``: ``position`` is the place of
+    the source's smallest bridge in ``order``, and ``kept`` is False when
+    step (3) discards the edge for a smaller bridge with the same target.
+    Edges come by descending source cardinality, then ascending source
+    mask.  ``family`` restricts the pairing to its cells (cardinality at
+    least 3) and must contain every target.
     """
-    if family is None:
-        cells = [c for c in range(1 << tc.n) if c.bit_count() >= 3]
-        ordered = sorted(cells, key=lambda c: -c.bit_count())  # stable: keeps masks ascending
-        return _possible_edges_in_order(tc, ordered)
-    family_set = set(family)
-    ordered = _sorted_sweep_order(c for c in family_set if c.bit_count() >= 3)
-    return _possible_edges_in_order(tc, ordered, family_set)
+    position = [0] * tc.n
+    for p, g in enumerate(order):
+        position[g] = p
+    members = None if family is None else set(family)
+    record: list[tuple[int, int, int]] = []
+    _sweep(order, _payload(tc, None, members), record=record)
+    edges = []
+    for g, targets, found_before in record:
+        bit = 1 << g
+        while targets:
+            low = targets & -targets
+            target = low.bit_length() - 1
+            edges.append((position[g], target | bit, target, not (low & found_before)))
+            targets ^= low
+    edges.sort(key=lambda e: (-e[1].bit_count(), e[1]))
+    if members is not None:
+        for _, source, target, _ in edges:
+            if target not in members:
+                gens = tc.ideal.generators
+                names = ", ".join(str(gens[i]) for i in cell_members(source))
+                raise ValueError(
+                    f"family is not closed under smallest-bridge deletion at cell {{{names}}}"
+                )
+    return edges
 
 
-def possible_edges(tc: TaylorComplex, family: Iterable[int] | None = None) -> list[tuple[int, int]]:
-    return [(pe.source, pe.target) for pe in possible_edges_with_positions(tc, family)]
-
-
-def _resolve_duplicate_targets(edges: Iterable[PossibleEdge]) -> Matching:
-    """Step (3): among edges sharing a target, keep the smallest bridge."""
-    best: dict[int, PossibleEdge] = {}
-    for pe in edges:
-        cur = best.get(pe.target)
-        if cur is None or pe.sbridge_position < cur.sbridge_position:
-            best[pe.target] = pe
-        elif pe.sbridge_position == cur.sbridge_position and pe.source != cur.source:
-            # impossible: the source is the target plus the bridge generator
-            raise AssertionError(
-                f"distinct possible edges share target {pe.target:#x} and bridge position"
-            )
-    matching = Matching.from_pairs((pe.source, pe.target) for pe in best.values())
+def _kept_matching(edges: Iterable[tuple[int, int, int, bool]]) -> Matching:
+    """Step (3): the edges that no smaller bridge beat to their target."""
+    matching = Matching.from_pairs((s, t) for _, s, t, kept in edges if kept)
     if len(matching.touched) != 2 * len(matching):
         raise AssertionError("bridge-pairing construction produced a non-matching")
     return matching
 
 
-def bm_matching(tc: TaylorComplex, family: Iterable[int] | None = None) -> Matching:
+def possible_edges_with_positions(tc: TaylorComplex) -> list[PossibleEdge]:
+    """All bridge pairings before duplicate targets are resolved, by
+    descending source cardinality and then ascending source mask."""
+    return [PossibleEdge(p, s, t) for p, s, t, _ in _bridge_pairing(tc, range(tc.n))]
+
+
+def bm_matching(tc: TaylorComplex) -> Matching:
     """The Barile-Macchia matching of the ideal with respect to its order."""
-    matching = _resolve_duplicate_targets(possible_edges_with_positions(tc, family))
+    matching = _kept_matching(_bridge_pairing(tc, range(tc.n)))
     # removing a bridge keeps the lcm, so every edge must be homogeneous
     for s, t in matching.edges:
         if tc.lcm(s) is not tc.lcm(t):
@@ -176,9 +231,7 @@ def bm_matching(tc: TaylorComplex, family: Iterable[int] | None = None) -> Match
 
 def is_bridge_friendly(tc: TaylorComplex) -> bool:
     """True iff no possible edge is discarded in the duplicate-target step."""
-    possible = possible_edges_with_positions(tc)
-    matching = _resolve_duplicate_targets(possible)
-    return {(pe.source, pe.target) for pe in possible} == matching.edge_set
+    return _sweep(range(tc.n), _payload(tc, None), friendly_only=True) is not None
 
 
 def lyubeznik_matching(tc: TaylorComplex) -> Matching:
@@ -232,14 +285,8 @@ def trimmed_matching(tc: TaylorComplex, order2: Sequence[int]) -> Matching:
     order2 = tuple(order2)
     if sorted(order2) != list(range(tc.n)):
         raise ValueError(f"{order2} is not a permutation of 0..{tc.n - 1}")
-    positions = [0] * tc.n
-    for p, i in enumerate(order2):
-        positions[i] = p
     family = critical_family(tc, lyubeznik_matching(tc))
-    family_set = set(family)
-    ordered = _sorted_sweep_order(c for c in family if c.bit_count() >= 3)
-    edges = _possible_edges_in_order(tc, ordered, family_set, positions)
-    return _resolve_duplicate_targets(edges)
+    return _kept_matching(_bridge_pairing(tc, order2, family))
 
 
 def critical_cells(

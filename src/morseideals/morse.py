@@ -24,7 +24,6 @@ from .taylor import (
     cell_members,
     facet_sign,
     incidence_sign,
-    taylor_differential,
 )
 
 _PENDING = object()
@@ -181,13 +180,6 @@ def morse_differential(
                     entries[(row_index[crit], cidx)] = DifferentialEntry(weight, factor)
         differentials.append(DifferentialMatrix(rows, cols, entries))
     return MorseComplex(tc.ideal, tuple(tuple(b) for b in basis), tuple(differentials))
-
-
-def taylor_chain_complex(tc: TaylorComplex) -> MorseComplex:
-    """The full Taylor complex packaged with its boundary matrices."""
-    n = tc.n
-    basis = tuple(tuple(tc.cells_of_cardinality(i)) for i in range(n + 1))
-    return MorseComplex(tc.ideal, basis, tuple(taylor_differential(tc, i) for i in range(1, n + 1)))
 
 
 def ranks(mc: MorseComplex) -> list[int]:

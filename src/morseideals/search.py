@@ -5,22 +5,10 @@ A permutation ``perm`` places generator ``perm[p]`` at position ``p``
 and bridge sets do not depend on the order, so one precomputed bridge table
 serves every permutation; only the choice of smallest bridge changes.
 
-Every order is decided by one kernel, :func:`_sweep`, over bitsets indexed
-by cell mask: bit ``c`` of an ``int`` stands for cell ``c``.  The payload
-holds, for each cardinality ``k >= 3`` and each generator ``g``, the bitset
-``rows[k][g]`` of the k-cells that have ``g`` as a bridge, and the union
-``levels[k]`` of these rows.  The sweep goes through the levels
-``k = n .. 3``.  The live k-cells are those with a bridge that no larger
-cell has taken as its target.  Going through the generators in the order's
-positions, the cells ``S`` among them that have ``g`` as a bridge have ``g``
-as their smallest bridge; they leave the live set, and their targets, the
-cells minus ``g``, are the bitset ``S >> 2**g``.  A target that is met twice
-at a level is a discard of step (3), so the order is not bridge-friendly.
-Each target keeps one edge, so the critical cells of cardinality k number
-``C(n, k) - |targets[k - 1]| - |targets[k]|``.  Both target sets are final
-once level k is swept, since lower levels only add targets below k - 1; the
-minimal search may therefore drop an order at the first level whose count
-differs from the Betti total without changing any result.
+Every order is decided by the bitset sweep of
+:func:`morseideals.matching._sweep`, the kernel that also builds the
+Barile-Macchia and trimmed matchings; the module docstring of
+:mod:`morseideals.matching` describes it.
 
 Work is split into contiguous chunks of the lexicographic permutation stream
 and may run on several processes.  Each chunk starts at the permutation
@@ -32,10 +20,8 @@ standard error when requested.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 import os
 import re
 import signal
@@ -45,7 +31,7 @@ from typing import Iterator
 
 from .algebra import MonomialIdeal
 from .homology import betti_numbers
-from .matching import Matching, bm_matching
+from .matching import Matching, _payload, _sweep, bm_matching
 from .taylor import build_taylor
 
 ORDER_SEARCH_GUARD = 10
@@ -141,21 +127,6 @@ def _chunk_size(total: int, workers: int) -> int:
     return max(256, min(20000, total // (workers * 16) or total))
 
 
-def _payload(tc, target_ranks):
-    """``(n, rows, levels, counts, target)`` for :func:`_sweep`."""
-    n = tc.n
-    rows = [[0] * n for _ in range(n + 1)]
-    for cell, bridges in enumerate(tc.bridge_table()):
-        k = cell.bit_count()
-        if k >= 3:
-            bit = 1 << cell
-            for g in bridges:
-                rows[k][g] |= bit
-    levels = tuple(functools.reduce(operator.or_, row, 0) for row in rows)
-    counts = tuple(math.comb(n, k) for k in range(n + 1))
-    return (n, tuple(map(tuple, rows)), levels, counts, target_ranks)
-
-
 def _init_worker(payload, stop=None) -> None:
     global _WORK, _STOP
     _WORK, _STOP = payload, stop
@@ -169,49 +140,6 @@ def _pool_chunk(task):
     """Run one chunk in a pool worker, unless the search has stopped."""
     worker, bounds = task
     return None if _STOP.is_set() else worker(bounds)
-
-
-def _sweep(perm, work, friendly_only=False):
-    """Bridge-pair the Taylor cells under one order; see the module docstring.
-
-    Returns ``(ranks, friendly)``: the critical cells per cardinality and
-    whether no possible edge is discarded.  Returns None as soon as the
-    order is known to fail: when the payload carries a target and a level's
-    count differs from it, or, with ``friendly_only``, at the first
-    duplicate target.
-    """
-    n, rows, levels, counts, target = work
-    ranks = list(counts)
-    friendly = True
-    below = 0  # targets in level k, picked by the sweep of level k + 1
-    paired = 0  # their number
-    for k in range(n, 2, -1):
-        live = levels[k] & ~below
-        row = rows[k]
-        found = 0
-        for g in perm:
-            hit = live & row[g]
-            if hit:
-                live ^= hit
-                hit >>= 1 << g
-                if found & hit:
-                    if friendly_only:
-                        return None
-                    friendly = False
-                found |= hit
-                if not live:
-                    break
-        ranks[k] -= paired  # k-cells taken as targets
-        below, paired = found, found.bit_count()
-        ranks[k] -= paired  # k-cells that are sources
-        if target is not None and ranks[k] != target[k]:
-            return None
-    if paired:
-        ranks[2] -= paired
-    ranks = tuple(ranks)
-    if target is not None and ranks != target:
-        return None
-    return ranks, friendly
 
 
 def _scan_friendly_chunk(bounds: tuple[int, int]) -> list[tuple[int, ...]]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .algebra import Monomial, MonomialIdeal, quotient
+from .algebra import Monomial, MonomialIdeal
 
 DEFAULT_MAX_GENERATORS = 24
 
@@ -61,10 +61,6 @@ class TaylorComplex:
     def lcm(self, cell: int) -> Monomial:
         return self.lcms[cell]
 
-    def cells_of_cardinality(self, k: int) -> list[int]:
-        """Cells with k members, in ascending bitmask order."""
-        return [c for c in range(1 << self.n) if c.bit_count() == k]
-
     def bridges(self, cell: int) -> list[int]:
         """Members whose removal keeps the lcm, ascending.
 
@@ -73,11 +69,6 @@ class TaylorComplex:
         lcms = self.lcms
         label = lcms[cell]
         return [i for i in cell_members(cell) if lcms[cell ^ (1 << i)] is label]
-
-    def smallest_bridge(self, cell: int) -> int | None:
-        """The bridge of minimal position, or None if the cell has none."""
-        found = self.bridges(cell)
-        return found[0] if found else None
 
     def classes(self) -> Mapping[Monomial, tuple[int, ...]]:
         """Cells grouped by lcm label, each group ascending (cached, read-only).
@@ -184,27 +175,3 @@ class DifferentialMatrix:
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     entries: dict[tuple[int, int], DifferentialEntry]
-
-
-def taylor_differential(tc: TaylorComplex, i: int) -> DifferentialMatrix:
-    """Degree-``i`` boundary map of the Taylor complex.
-
-    Rows are the cardinality ``i - 1`` cells, columns the cardinality ``i``
-    cells; the entry at a facet pair is the incidence sign together with the
-    quotient of the two lcm labels.
-    """
-    n = tc.n
-    if not 0 < i <= n:
-        raise ValueError(f"differential degree {i} out of range 1..{n}")
-    rows = tuple(tc.cells_of_cardinality(i - 1))
-    cols = tuple(tc.cells_of_cardinality(i))
-    row_index = {c: k for k, c in enumerate(rows)}
-    entries: dict[tuple[int, int], DifferentialEntry] = {}
-    for cidx, sigma in enumerate(cols):
-        label = tc.lcm(sigma)
-        for j in cell_members(sigma):
-            tau = sigma ^ (1 << j)
-            entries[(row_index[tau], cidx)] = DifferentialEntry(
-                incidence_sign(sigma, tau), quotient(label, tc.lcm(tau))
-            )
-    return DifferentialMatrix(rows, cols, entries)

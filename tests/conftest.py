@@ -5,12 +5,20 @@ import pytest
 
 from morseideals import (
     Matching,
+    Monomial,
+    PossibleEdge,
     cell_members,
+    critical_family,
     divides,
     incidence_sign,
+    lyubeznik_matching,
     parse_ideal,
+    quotient,
     random_squarefree_ideal,
 )
+from morseideals.algebra import _require_same_context
+from morseideals.morse import MorseComplex
+from morseideals.taylor import DifferentialEntry, DifferentialMatrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -283,3 +291,138 @@ def naive_verify_complex(mc):
         if any(buckets.values()):
             return False
     return True
+
+
+def monomial_lcm(a, b):
+    """Componentwise maximum of the exponent vectors."""
+    _require_same_context(a, b)
+    if a.is_squarefree and b.is_squarefree:
+        mask = a.support_mask | b.support_mask
+        return Monomial(a.context, tuple((mask >> i) & 1 for i in range(a.context.size)))
+    return Monomial(a.context, tuple(map(max, a.exponents, b.exponents)))
+
+
+def smallest_bridge(tc, cell):
+    """The bridge of minimal position, or None if the cell has none."""
+    found = tc.bridges(cell)
+    return found[0] if found else None
+
+
+def cells_of_cardinality(tc, k):
+    """Cells with k members, in ascending bitmask order."""
+    return [c for c in range(1 << tc.n) if c.bit_count() == k]
+
+
+def taylor_differential(tc, i):
+    """Degree-``i`` boundary map of the Taylor complex.
+
+    Rows are the cardinality ``i - 1`` cells, columns the cardinality ``i``
+    cells; the entry at a facet pair is the incidence sign together with the
+    quotient of the two lcm labels.
+    """
+    n = tc.n
+    if not 0 < i <= n:
+        raise ValueError(f"differential degree {i} out of range 1..{n}")
+    rows = tuple(cells_of_cardinality(tc, i - 1))
+    cols = tuple(cells_of_cardinality(tc, i))
+    row_index = {c: k for k, c in enumerate(rows)}
+    entries = {}
+    for cidx, sigma in enumerate(cols):
+        label = tc.lcm(sigma)
+        for j in cell_members(sigma):
+            tau = sigma ^ (1 << j)
+            entries[(row_index[tau], cidx)] = DifferentialEntry(
+                incidence_sign(sigma, tau), quotient(label, tc.lcm(tau))
+            )
+    return DifferentialMatrix(rows, cols, entries)
+
+
+def taylor_chain_complex(tc):
+    """The full Taylor complex packaged with its boundary matrices."""
+    n = tc.n
+    basis = tuple(tuple(cells_of_cardinality(tc, i)) for i in range(n + 1))
+    return MorseComplex(tc.ideal, basis, tuple(taylor_differential(tc, i) for i in range(1, n + 1)))
+
+
+def sweep_cells(tc, ordered_cells, family_set=None, positions=None):
+    """Run steps (1)-(2) of the bridge pairing cell by cell over ``ordered_cells``.
+
+    ``ordered_cells`` must come in descending cardinality; the order within a
+    cardinality level never changes the outcome because a pick only removes a
+    cell of strictly smaller cardinality.  When ``positions`` is given the
+    smallest bridge is taken with respect to those positions instead of the
+    generator indices.  Reference for the bitset kernel ``matching._sweep``:
+    it reads ``tc.bridges`` cell by cell and keeps no bitsets.
+    """
+    removed = set()
+    out = []
+    ideal_gens = tc.ideal.generators
+    for sigma in ordered_cells:
+        if sigma in removed:
+            continue
+        found = tc.bridges(sigma)
+        if not found:
+            continue
+        if positions is None:
+            sb = found[0]
+            pos = sb
+        else:
+            sb = min(found, key=positions.__getitem__)
+            pos = positions[sb]
+        target = sigma ^ (1 << sb)
+        if family_set is not None and target not in family_set:
+            members = ", ".join(str(ideal_gens[i]) for i in cell_members(sigma))
+            raise ValueError(
+                f"family is not closed under smallest-bridge deletion at cell {{{members}}}"
+            )
+        removed.add(target)
+        out.append(PossibleEdge(pos, sigma, target))
+    return out
+
+
+def resolve_duplicate_targets(edges):
+    """Step (3): among edges sharing a target, keep the smallest bridge."""
+    best = {}
+    for pe in edges:
+        cur = best.get(pe.target)
+        if cur is None or pe.sbridge_position < cur.sbridge_position:
+            best[pe.target] = pe
+        elif pe.sbridge_position == cur.sbridge_position and pe.source != cur.source:
+            # impossible: the source is the target plus the bridge generator
+            raise AssertionError(
+                f"distinct possible edges share target {pe.target:#x} and bridge position"
+            )
+    matching = Matching.from_pairs((pe.source, pe.target) for pe in best.values())
+    if len(matching.touched) != 2 * len(matching):
+        raise AssertionError("bridge-pairing construction produced a non-matching")
+    return matching
+
+
+def _sweep_order(cells):
+    # descending cardinality, ascending mask within each cardinality
+    return sorted((c for c in cells if c.bit_count() >= 3), key=lambda c: (-c.bit_count(), c))
+
+
+def reference_possible_edges(tc):
+    """Every possible edge of the ideal's own order, cell by cell."""
+    return sweep_cells(tc, _sweep_order(range(1 << tc.n)))
+
+
+def reference_bm_matching(tc):
+    return resolve_duplicate_targets(reference_possible_edges(tc))
+
+
+def reference_is_bridge_friendly(tc):
+    possible = reference_possible_edges(tc)
+    kept = resolve_duplicate_targets(possible)
+    return {(pe.source, pe.target) for pe in possible} == kept.edge_set
+
+
+def reference_trimmed_matching(tc, order2):
+    """The cell-by-cell sweep over the Lyubeznik-critical family under ``order2``."""
+    positions = [0] * tc.n
+    for p, i in enumerate(order2):
+        positions[i] = p
+    family = critical_family(tc, lyubeznik_matching(tc))
+    edges = sweep_cells(tc, _sweep_order(family), set(family), positions)
+    return resolve_duplicate_targets(edges)

@@ -30,18 +30,24 @@ from morseideals import (
     is_minimal,
     lyubeznik_matching,
     morse_differential,
-    possible_edges,
     possible_edges_with_positions,
     ranks,
-    taylor_chain_complex,
     trimmed_matching,
     validate_matching,
     verify_complex,
 )
 from morseideals.cli import main
 from morseideals.families import SplitMix64
-from morseideals.matching import PossibleEdge, _possible_edges_in_order, _resolve_duplicate_targets
-from conftest import lyu_min, lyu_value, naive_homology_ranks, naive_rank
+from morseideals.matching import PossibleEdge
+from conftest import (
+    lyu_min,
+    lyu_value,
+    naive_homology_ranks,
+    naive_rank,
+    resolve_duplicate_targets,
+    sweep_cells,
+    taylor_chain_complex,
+)
 
 WORKERS = 2
 
@@ -260,7 +266,7 @@ def test_criterion_9_property_suite(corpus):
                 values = ranks(complex_)
                 assert is_minimal(complex_) == (values == totals), (kind, ideal)
                 rank_lists[kind] = values
-            assert bm.edge_set <= set(possible_edges(tc))
+            assert bm.edge_set <= {(pe.source, pe.target) for pe in possible_edges_with_positions(tc)}
             for i in range(n + 1):
                 assert rank_lists["trimmed"][i] <= rank_lists["lyubeznik"][i]
                 assert rank_lists["lyubeznik"][i] <= math.comb(n, i)
@@ -283,8 +289,8 @@ def test_criterion_10_determinism(corpus):
                     block = by_level[level][:]
                     rng.shuffle(block)
                     shuffled.extend(block)
-                edges = _possible_edges_in_order(tc, shuffled)
-                assert _resolve_duplicate_targets(edges).edges == reference.edges
+                edges = sweep_cells(tc, shuffled)
+                assert resolve_duplicate_targets(edges).edges == reference.edges
 
         c5 = cycle_edge_ideal(5)
         c4 = cycle_edge_ideal(4)

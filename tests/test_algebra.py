@@ -7,13 +7,13 @@ from morseideals import (
     divides,
     format_ideal,
     minimize_generators,
-    monomial_lcm,
     parse_ideal,
     parse_monomial,
     quotient,
 )
 from morseideals.algebra import MAX_EXPONENT
 from morseideals.families import SplitMix64
+from conftest import monomial_lcm
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from morseideals import (
     morse_differential,
     parse_ideal,
     ranks,
-    taylor_chain_complex,
     trimmed_matching,
 )
 from morseideals.families import SplitMix64
@@ -29,6 +28,7 @@ from conftest import (
     naive_betti_numbers,
     naive_homology_ranks,
     naive_rank,
+    taylor_chain_complex,
 )
 
 

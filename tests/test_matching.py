@@ -16,24 +16,24 @@ from morseideals import (
     is_bridge_friendly,
     lyubeznik_matching,
     parse_ideal,
-    possible_edges,
     possible_edges_with_positions,
     trimmed_matching,
     validate_matching,
 )
-from morseideals.matching import (
-    PossibleEdge,
-    _has_directed_cycle,
-    _possible_edges_in_order,
-    _resolve_duplicate_targets,
-)
+from morseideals.matching import PossibleEdge, _bridge_pairing, _has_directed_cycle
 from conftest import (
     CUBICS,
     POWER_IDEAL,
     corpus_ideals,
     lyu_min,
     lyu_value,
+    reference_bm_matching,
+    reference_is_bridge_friendly,
     reference_lyubeznik_matching,
+    reference_possible_edges,
+    reference_trimmed_matching,
+    resolve_duplicate_targets,
+    sweep_cells,
 )
 
 FULL = 0b1111
@@ -63,7 +63,7 @@ def test_bm_matching_running_ideal(run4):
     m = bm_matching(tc)
     assert set(m.edges) == {(0b1111, 0b1110), (0b0111, 0b0101), (0b1011, 0b1010)}
     # the fourth possible edge is removed by the duplicate-target step
-    assert (0b1101, 0b0101) in set(possible_edges(tc))
+    assert (0b1101, 0b0101) in {(pe.source, pe.target) for pe in possible_edges_with_positions(tc)}
     assert (0b1101, 0b0101) not in m.edge_set
 
 
@@ -77,7 +77,7 @@ def test_family_closure_checked(run4):
     # {yz,xy,wx} pairs with {yz,wx}, which is missing from this family
     family = [0b0111, 0b0011, 0b0110]
     with pytest.raises(ValueError, match="closed"):
-        possible_edges_with_positions(tc, family)
+        _bridge_pairing(tc, range(tc.n), family)
 
 
 def test_lyu_values_ex56(ex56):
@@ -252,7 +252,7 @@ def test_cycle_detector():
 
 def test_duplicate_target_resolution_prefers_smaller_bridge():
     edges = [PossibleEdge(1, 0b0111, 0b0101), PossibleEdge(3, 0b1101, 0b0101)]
-    m = _resolve_duplicate_targets(edges)
+    m = resolve_duplicate_targets(edges)
     assert m.edges == ((0b0111, 0b0101),)
 
 
@@ -271,17 +271,17 @@ def test_bm_invariant_under_within_level_shuffles(run4):
                 block = by_level[level][:]
                 rng.shuffle(block)
                 shuffled.extend(block)
-            edges = _possible_edges_in_order(tc, shuffled)
-            assert _resolve_duplicate_targets(edges).edges == reference.edges
-            assert {(pe.source, pe.target) for pe in edges} == set(
-                possible_edges(tc)
-            )
+            edges = sweep_cells(tc, shuffled)
+            assert resolve_duplicate_targets(edges).edges == reference.edges
+            assert {(pe.source, pe.target) for pe in edges} == {
+                (pe.source, pe.target) for pe in possible_edges_with_positions(tc)
+            }
 
 
 def test_possible_edges_contain_matching_on_corpus():
     for ideal in corpus_ideals(20):
         tc = build_taylor(ideal)
-        pe = set(possible_edges(tc))
+        pe = {(e.source, e.target) for e in possible_edges_with_positions(tc)}
         m = bm_matching(tc)
         assert m.edge_set <= pe
         # singleton cells stay critical in both constructions
@@ -289,3 +289,25 @@ def test_possible_edges_contain_matching_on_corpus():
         for i in range(ideal.n):
             assert (1 << i) not in m.touched
             assert (1 << i) not in lyu.touched
+
+
+def test_bitset_kernel_equals_the_cell_by_cell_reference(run4, ex56, tri):
+    """Every construction read off the bitset sweep equals the cell-by-cell
+    sweep with its separate duplicate-target step."""
+    ideals = [cycle_edge_ideal(n) for n in range(3, 9)] + [run4, ex56, tri]
+    ideals += [parse_ideal(CUBICS), *corpus_ideals()]
+    for ideal in ideals:
+        tc = build_taylor(ideal)
+        n = ideal.n
+        assert bm_matching(tc) == reference_bm_matching(tc), ideal
+        assert possible_edges_with_positions(tc) == reference_possible_edges(tc), ideal
+        assert is_bridge_friendly(tc) == reference_is_bridge_friendly(tc), ideal
+        if n <= 5:
+            orders = list(itertools.permutations(range(n)))
+        else:
+            orders = [tuple(range(n)), tuple(reversed(range(n)))]
+        for order2 in orders:
+            assert trimmed_matching(tc, order2) == reference_trimmed_matching(tc, order2), (
+                ideal,
+                order2,
+            )

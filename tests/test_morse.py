@@ -17,7 +17,6 @@ from morseideals import (
     parse_ideal,
     quotient,
     ranks,
-    taylor_chain_complex,
     transfer,
     trimmed_matching,
     verify_complex,
@@ -32,6 +31,7 @@ from conftest import (
     enumerate_gradient_paths,
     load_fixture_ideal,
     naive_verify_complex,
+    taylor_chain_complex,
 )
 
 

@@ -25,12 +25,11 @@ from morseideals.search import (
     SearchWorkerError,
     _chunk_bounds,
     _chunk_orders,
-    _payload,
     _run_chunks,
-    _sweep,
     _unrank,
 )
-from conftest import corpus_ideals
+from morseideals.matching import _payload, _sweep
+from conftest import corpus_ideals, reference_bm_matching, reference_is_bridge_friendly
 
 
 def test_enumerate_orders_lexicographic():
@@ -284,14 +283,15 @@ def _cross_check_ideals(tri, run4):
 
 
 def _bm_ranks(ideal, perm):
-    """Critical cells per cardinality of the public bm matching under ``perm``."""
+    """Critical cells per cardinality of the cell-by-cell reference matching
+    under ``perm``, and whether that order is bridge-friendly."""
     tc = build_taylor(ideal.reordered(perm))
-    touched = bm_matching(tc).touched
+    touched = reference_bm_matching(tc).touched
     ranks = [0] * (ideal.n + 1)
     for cell in range(1 << ideal.n):
         if cell not in touched:
             ranks[cell.bit_count()] += 1
-    return tuple(ranks), is_bridge_friendly(tc)
+    return tuple(ranks), reference_is_bridge_friendly(tc)
 
 
 def _least_witness(orders, ranks_of, totals):

@@ -9,8 +9,6 @@ from morseideals import (
     cycle_edge_ideal,
     incidence_sign,
     parse_ideal,
-    taylor_chain_complex,
-    taylor_differential,
     verify_complex,
 )
 from morseideals.taylor import facet_sign
@@ -20,6 +18,9 @@ from conftest import (
     naive_bridge_table,
     naive_classes,
     naive_divisor_masks,
+    smallest_bridge,
+    taylor_chain_complex,
+    taylor_differential,
 )
 
 
@@ -107,9 +108,9 @@ def test_cached_classes_are_read_only(run4):
 
 def test_smallest_bridge(run4):
     tc = build_taylor(run4)
-    assert tc.smallest_bridge(0b1111) == 0
-    assert tc.smallest_bridge(0b1101) == 3  # {yz, wx, wz}: only wz removable
-    assert tc.smallest_bridge(0b0011) is None
+    assert smallest_bridge(tc, 0b1111) == 0
+    assert smallest_bridge(tc, 0b1101) == 3  # {yz, wx, wz}: only wz removable
+    assert smallest_bridge(tc, 0b0011) is None
 
 
 def test_incidence_sign_convention():
