@@ -16,7 +16,6 @@ from .algebra import (
     minimize_generators,
     parse_ideal,
     parse_monomial,
-    quotient,
 )
 from .families import (
     SimpleGraph,
@@ -53,7 +52,6 @@ from .search import (
     SearchWorkerError,
     bridge_friendly_list,
     bridge_minimal_search,
-    enumerate_orders,
 )
 from .taylor import (
     TaylorComplex,

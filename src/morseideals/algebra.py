@@ -129,13 +129,6 @@ def divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a.exponents, b.exponents))
 
 
-def quotient(a: Monomial, b: Monomial) -> Monomial:
-    """Exact quotient a / b; raises unless b divides a."""
-    if not divides(b, a):
-        raise ValueError(f"{b} does not divide {a}")
-    return Monomial(a.context, tuple(x - y for x, y in zip(a.exponents, b.exponents)))
-
-
 def minimize_generators(monomials: Sequence[Monomial]) -> tuple[tuple[Monomial, ...], bool]:
     """Drop duplicates and any monomial divisible by another one.
 

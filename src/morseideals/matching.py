@@ -219,9 +219,18 @@ def possible_edges_with_positions(tc: TaylorComplex) -> list[PossibleEdge]:
     return [PossibleEdge(p, s, t) for p, s, t, _ in _bridge_pairing(tc, range(tc.n))]
 
 
-def bm_matching(tc: TaylorComplex) -> Matching:
-    """The Barile-Macchia matching of the ideal with respect to its order."""
-    matching = _kept_matching(_bridge_pairing(tc, range(tc.n)))
+def bm_matching(tc: TaylorComplex, order: Sequence[int] | None = None) -> Matching:
+    """The Barile-Macchia matching of the ideal with respect to its order.
+
+    Given ``order``, a permutation of the generator indices smallest first,
+    the matching is that of the reordered ideal, with its cells still in
+    the complex's own indexing.
+    """
+    if order is None:
+        order = range(tc.n)
+    elif sorted(order) != list(range(tc.n)):
+        raise ValueError(f"{tuple(order)} is not a permutation of 0..{tc.n - 1}")
+    matching = _kept_matching(_bridge_pairing(tc, order))
     # removing a bridge keeps the lcm, so every edge must be homogeneous
     for s, t in matching.edges:
         if tc.lcm(s) is not tc.lcm(t):

@@ -68,11 +68,6 @@ def _worker_error(exc: Exception) -> SearchWorkerError:
     )
 
 
-def enumerate_orders(n: int) -> Iterator[tuple[int, ...]]:
-    """All permutations of 0..n-1 in lexicographic order."""
-    return itertools.permutations(range(n))
-
-
 def _unrank(n: int, index: int) -> tuple[int, ...]:
     """The permutation at ``index`` of the lexicographic stream, from its Lehmer code."""
     pool = list(range(n))
@@ -217,6 +212,12 @@ def _run_chunks(worker, bounds_list, workers, progress, total, stop_early):
         pool.join()
 
 
+def _relabel(cell: int, perm: tuple[int, ...]) -> int:
+    """``cell`` in the indexing of the ideal reordered by ``perm``, where
+    generator ``perm[p]`` is bit ``p``."""
+    return sum(1 << p for p, g in enumerate(perm) if cell >> g & 1)
+
+
 def bridge_friendly_list(
     ideal: MonomialIdeal,
     workers: int = 1,
@@ -227,7 +228,8 @@ def bridge_friendly_list(
 
     Returns (permutation, matching) pairs in lexicographic permutation order;
     each matching is the bridge pairing of the reordered ideal, expressed in
-    the reordered indexing.
+    the reordered indexing.  Every matching is built on the one complex the
+    scan uses and then relabelled, since bridges do not depend on the order.
     """
     _check_at_least("workers", workers, 1)
     n = ideal.n
@@ -241,7 +243,9 @@ def bridge_friendly_list(
         hits.extend(found)
     out = []
     for perm in hits:
-        out.append((perm, bm_matching(build_taylor(ideal.reordered(perm)))))
+        pairs = bm_matching(tc, perm)
+        matching = Matching.from_pairs((_relabel(s, perm), _relabel(t, perm)) for s, t in pairs)
+        out.append((perm, matching))
     return out
 
 

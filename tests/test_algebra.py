@@ -9,11 +9,10 @@ from morseideals import (
     minimize_generators,
     parse_ideal,
     parse_monomial,
-    quotient,
 )
 from morseideals.algebra import MAX_EXPONENT
 from morseideals.families import SplitMix64
-from conftest import monomial_lcm
+from conftest import monomial_lcm, quotient
 
 
 @pytest.fixture

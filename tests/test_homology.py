@@ -2,6 +2,7 @@ import pytest
 
 from morseideals import (
     Matching,
+    Monomial,
     MonomialIdeal,
     VariableContext,
     betti_numbers,
@@ -9,16 +10,19 @@ from morseideals import (
     build_taylor,
     critical_family,
     cycle_edge_ideal,
+    divides,
     exact_rank,
     format_ideal,
     homology_ranks,
     is_minimal,
     lyubeznik_matching,
+    minimize_generators,
     morse_differential,
     parse_ideal,
     ranks,
     trimmed_matching,
 )
+from morseideals import homology
 from morseideals.families import SplitMix64
 from morseideals.homology import _rank_rows, sparse_rank
 from conftest import (
@@ -28,6 +32,7 @@ from conftest import (
     naive_betti_numbers,
     naive_homology_ranks,
     naive_rank,
+    reference_betti_numbers,
     taylor_chain_complex,
 )
 
@@ -243,3 +248,87 @@ def test_betti_power_ideal_row():
     table = betti_numbers(build_taylor(parse_ideal(POWER_IDEAL)))
     assert table.totals == (1, 13, 20, 8) + (0,) * 10
     assert _column_sums(table) == table.totals
+
+
+def _random_non_squarefree_ideals(count):
+    """Seeded ideals in 2-4 variables with exponents 0-4 and up to 8
+    generators, minimized; each has a generator that is not squarefree."""
+    rng = SplitMix64(9)
+    out = []
+    while len(out) < count:
+        context = VariableContext(("x", "y", "z", "w")[: 2 + rng.below(3)])
+        monomials = []
+        for _ in range(1 + rng.below(8)):
+            exponents = tuple(rng.below(5) for _ in context.names)
+            if any(exponents):
+                monomials.append(Monomial(context, exponents))
+        if not monomials:
+            continue
+        generators, _ = minimize_generators(monomials)
+        if not all(g.is_squarefree for g in generators):
+            out.append(MonomialIdeal(context, generators))
+    return out
+
+
+def _cone_labels(tc):
+    """Labels m that ``m / rad(m)`` lies in the ideal of, found by ``divides``
+    over every generator rather than by the divisor masks."""
+    out = set()
+    for label in tc.classes():
+        exponents = tuple(max(e - 1, 0) for e in label.exponents)
+        reduced = Monomial(label.context, exponents)
+        if any(divides(g, reduced) for g in tc.ideal.generators):
+            out.add(label)
+    return out
+
+
+def test_betti_numbers_skip_cones_on_random_non_squarefree_ideals():
+    cones = 0
+    for ideal in _random_non_squarefree_ideals(200):
+        tc = build_taylor(ideal)
+        table = betti_numbers(tc)
+        assert (table.totals, table.multigraded) == naive_betti_numbers(tc), format_ideal(ideal)
+        cone_labels = _cone_labels(tc)
+        assert not cone_labels & table.multigraded.keys()
+        cones += len(cone_labels)
+    assert cones > 0  # the skip is exercised
+
+
+@pytest.mark.parametrize("text", [POWER_IDEAL, CUBICS], ids=["POWER_IDEAL", "CUBICS"])
+def test_betti_numbers_equal_every_block_ranked(text):
+    tc = build_taylor(parse_ideal(text))
+    table = betti_numbers(tc)
+    assert (table.totals, table.multigraded) == reference_betti_numbers(tc)
+
+
+def _ranked_blocks(monkeypatch, tc):
+    """``_rank_rows`` calls made by ``betti_numbers(tc)``: one per ranked block."""
+    calls = []
+
+    def counting(rows):
+        calls.append(None)
+        return _rank_rows(rows)
+
+    monkeypatch.setattr(homology, "_rank_rows", counting)
+    betti_numbers(tc)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def _blocks(tc, labels):
+    """Blocks of the given labels: one per cardinality present in a class."""
+    classes = tc.classes()
+    return sum(len({c.bit_count() for c in classes[label]}) for label in labels)
+
+
+def test_cone_skip_fires_only_on_cones(monkeypatch, run4, ex56):
+    tc = build_taylor(parse_ideal(POWER_IDEAL))
+    cone_labels = _cone_labels(tc)
+    assert len(tc.classes()) == 77 and len(cone_labels) == 39
+    ranked = set(tc.classes()) - cone_labels
+    assert _ranked_blocks(monkeypatch, tc) == _blocks(tc, ranked)
+    # squarefree ideals: every label is ranked
+    ideals = [cycle_edge_ideal(n) for n in range(3, 9)] + [run4, ex56] + corpus_ideals(100)
+    for ideal in ideals:
+        tc = build_taylor(ideal)
+        assert _ranked_blocks(monkeypatch, tc) == _blocks(tc, tc.classes()), format_ideal(ideal)

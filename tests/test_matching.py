@@ -152,6 +152,8 @@ def test_trimmed_requires_permutation(run4):
     tc = build_taylor(run4)
     with pytest.raises(ValueError):
         trimmed_matching(tc, (0, 1, 2))
+    with pytest.raises(ValueError, match="not a permutation"):
+        bm_matching(tc, (0, 1, 2, 2))
 
 
 def test_critical_cells_running_ideal(run4):

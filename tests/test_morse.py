@@ -15,7 +15,6 @@ from morseideals import (
     lyubeznik_matching,
     morse_differential,
     parse_ideal,
-    quotient,
     ranks,
     transfer,
     trimmed_matching,
@@ -31,6 +30,7 @@ from conftest import (
     enumerate_gradient_paths,
     load_fixture_ideal,
     naive_verify_complex,
+    quotient,
     taylor_chain_complex,
 )
 

@@ -14,7 +14,6 @@ from morseideals import (
     build_taylor,
     cycle_edge_ideal,
     edge_ideal,
-    enumerate_orders,
     is_bridge_friendly,
     parse_ideal,
 )
@@ -29,7 +28,12 @@ from morseideals.search import (
     _unrank,
 )
 from morseideals.matching import _payload, _sweep
-from conftest import corpus_ideals, reference_bm_matching, reference_is_bridge_friendly
+from conftest import (
+    corpus_ideals,
+    enumerate_orders,
+    reference_bm_matching,
+    reference_is_bridge_friendly,
+)
 
 
 def test_enumerate_orders_lexicographic():
@@ -264,6 +268,18 @@ def test_friendly_hits_verified_publicly():
         reordered = c5.reordered(perm)
         assert is_bridge_friendly(build_taylor(reordered))
         assert matching.edges == bm_matching(build_taylor(reordered)).edges
+
+
+def test_friendly_list_relabels_the_shared_complex(run4, ex56, tri):
+    # each friendly order's matching, built on the one complex of the scan
+    # and relabelled, is the matching of the rebuilt reordered complex
+    for ideal in (cycle_edge_ideal(5), cycle_edge_ideal(6), run4, ex56, tri):
+        expected = []
+        for perm in enumerate_orders(ideal.n):
+            tc = build_taylor(ideal.reordered(perm))
+            if is_bridge_friendly(tc):
+                expected.append((perm, bm_matching(tc)))
+        assert bridge_friendly_list(ideal) == expected
 
 
 NON_SQUAREFREE = (
