@@ -11,7 +11,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 MAX_EXPONENT = 2**31 - 1
 
@@ -197,11 +197,6 @@ class MonomialIdeal:
         if sorted(order) != list(range(self.n)):
             raise ValueError(f"{order} is not a permutation of 0..{self.n - 1}")
         return MonomialIdeal(self.context, tuple(self.generators[i] for i in order))
-
-    @classmethod
-    def from_strings(cls, names: Iterable[str], gens: Iterable[str]) -> MonomialIdeal:
-        ctx = VariableContext(tuple(names))
-        return cls(ctx, tuple(parse_monomial(g, ctx) for g in gens))
 
 
 def _require_same_context_ideal(ctx: VariableContext, g: Monomial) -> None:

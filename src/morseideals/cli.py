@@ -96,20 +96,30 @@ def _parse_order_names(ideal: MonomialIdeal, csv: str) -> tuple[int, ...]:
     return tuple(lookup[name] for name in names)
 
 
-def _matching_ranks(tc, matching, family=None) -> list[int]:
-    # basis sizes of the induced complex: critical counts per cardinality
-    groups = critical_cells(tc, matching, family)
-    n = tc.n
-    out = [1] + [0] * n
-    for gi, cells in enumerate(groups):
-        out[n - gi] = len(cells)
-    return out
+def _order2(ideal: MonomialIdeal, args) -> tuple[int, ...]:
+    """The ``--order2`` of the trimming pass; the ideal order when absent."""
+    if getattr(args, "order2", None):
+        return _parse_order_names(ideal, args.order2)
+    return tuple(range(ideal.n))
+
+
+def _kind_matching(kind: str, tc, order2):
+    """The matching of one kind, and the cell family that restricts it
+    (``None`` except for ``trimmed``, whose family is the Lyubeznik-critical
+    cells)."""
+    if kind == "bm":
+        return bm_matching(tc), None
+    if kind == "lyubeznik":
+        return lyubeznik_matching(tc), None
+    if kind == "trimmed":
+        return trimmed_matching(tc, order2), critical_family(tc, lyubeznik_matching(tc))
+    return Matching.from_pairs(()), None
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_bm(args) -> int:
+def _cmd_matching(args) -> int:
     ideal = _load_ideal(args)
     tc = build_taylor(ideal)
     if args.action == "possible-edges":
@@ -135,51 +145,28 @@ def _cmd_bm(args) -> int:
                     f"{cell_text(ideal, pe.target)})"
                 )
         return 0
-    matching = bm_matching(tc)
-    return _emit_matching_family(args, tc, ideal, matching, None)
-
-
-def _cmd_lyu(args) -> int:
-    ideal = _load_ideal(args)
-    tc = build_taylor(ideal)
-    matching = lyubeznik_matching(tc)
-    return _emit_matching_family(args, tc, ideal, matching, None)
-
-
-def _cmd_trim(args) -> int:
-    ideal = _load_ideal(args)
-    tc = build_taylor(ideal)
-    if args.order2:
-        order2 = _parse_order_names(ideal, args.order2)
-    else:
-        order2 = tuple(range(ideal.n))
-    matching = trimmed_matching(tc, order2)
-    family = critical_family(tc, lyubeznik_matching(tc))
-    return _emit_matching_family(args, tc, ideal, matching, family)
-
-
-def _emit_matching_family(args, tc, ideal, matching, family) -> int:
+    matching, family = _kind_matching(args.kind, tc, _order2(ideal, args))
     if args.action == "matching":
         if args.json:
             _emit({"edges": _matching_json(ideal, matching)})
         else:
             for edge in matching.edges:
                 print(edge_text(ideal, edge))
-    elif args.action == "critical":
-        groups = critical_cells(tc, matching, family)
+        return 0
+    # groups run from cardinality n down to 1; ranks from degree 0 up to n
+    groups = critical_cells(tc, matching, family)
+    if args.action == "critical":
         if args.json:
             _emit({"groups": [[cell_json(ideal, c) for c in group] for group in groups]})
         else:
             for group in groups:
                 print(group_text(ideal, group))
-    elif args.action == "ranks":
-        values = _matching_ranks(tc, matching, family)
+    else:
+        values = [1] + [len(group) for group in reversed(groups)]
         if args.json:
             _emit({"ranks": values})
         else:
             print(ranks_text(values))
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.action)
     return 0
 
 
@@ -274,28 +261,26 @@ def _cmd_minimal_search(args) -> int:
 
 _CHECK_KINDS = ("bm", "lyubeznik", "trimmed", "empty")
 
+# (plain-text name, result key) of the verdicts that ``check`` requires
+_CHECK_FLAGS = (
+    ("matching", "is_matching"),
+    ("homogeneous", "is_homogeneous"),
+    ("acyclic", "is_acyclic"),
+    ("d2", "d_squared_zero"),
+    ("homology", "homology_matches_betti"),
+)
+
 
 def _cmd_check(args) -> int:
     ideal = _load_ideal(args)
     tc = build_taylor(ideal)
     totals = list(betti_numbers(tc).totals)
     kinds = _CHECK_KINDS if args.kind == "all" else (args.kind,)
-    order2 = (
-        _parse_order_names(ideal, args.order2) if args.order2 else tuple(range(ideal.n))
-    )
+    order2 = _order2(ideal, args)
     results = []
     ok = True
     for kind in kinds:
-        family = None
-        if kind == "bm":
-            matching = bm_matching(tc)
-        elif kind == "lyubeznik":
-            matching = lyubeznik_matching(tc)
-        elif kind == "trimmed":
-            matching = trimmed_matching(tc, order2)
-            family = critical_family(tc, lyubeznik_matching(tc))
-        else:
-            matching = Matching.from_pairs(())
+        matching, family = _kind_matching(kind, tc, order2)
         report = validate_matching(tc, matching)
         complex_ = morse_differential(tc, matching, family)
         d2 = verify_complex(complex_)
@@ -314,31 +299,14 @@ def _cmd_check(args) -> int:
             "ranks": values,
         }
         results.append(entry)
-        ok = ok and all(
-            entry[key]
-            for key in (
-                "is_matching",
-                "is_homogeneous",
-                "is_acyclic",
-                "d_squared_zero",
-                "homology_matches_betti",
-                "minimal_consistent",
-            )
-        )
+        ok = ok and entry["minimal_consistent"] and all(entry[key] for _, key in _CHECK_FLAGS)
     if args.json:
         _emit({"betti_totals": totals, "results": results, "ok": ok})
     else:
         print(f"betti: {ranks_text(totals)}")
         for entry in results:
             flags = " ".join(
-                f"{short}={'true' if entry[key] else 'false'}"
-                for short, key in (
-                    ("matching", "is_matching"),
-                    ("homogeneous", "is_homogeneous"),
-                    ("acyclic", "is_acyclic"),
-                    ("d2", "d_squared_zero"),
-                    ("homology", "homology_matches_betti"),
-                )
+                f"{short}={'true' if entry[key] else 'false'}" for short, key in _CHECK_FLAGS
             )
             print(
                 f"{entry['kind']}: {flags} minimal="
@@ -422,7 +390,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         metavar="{" + ",".join(_COMMANDS) + "}" if len(chosen) == 1 else None,
     )
 
-    for name, handler in (("bm", _cmd_bm), ("lyu", _cmd_lyu), ("trim", _cmd_trim)):
+    for name, kind in (("bm", "bm"), ("lyu", "lyubeznik"), ("trim", "trimmed")):
         if name not in chosen:
             continue
         actions = ["matching", "critical", "ranks"]
@@ -433,7 +401,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         for action in actions:
             leaf = inner.add_parser(action)
             _add_source_arguments(leaf, with_order2=(name == "trim"))
-            leaf.set_defaults(func=handler, action=action)
+            leaf.set_defaults(func=_cmd_matching, kind=kind, action=action)
 
     if "betti" in chosen:
         betti = sub.add_parser("betti", help="Betti numbers from the exact oracle")

@@ -342,10 +342,17 @@ def validate_matching(tc: TaylorComplex, matching: Matching) -> MatchingReport:
     lcm (for homogeneous matchings) and unmatched facet steps weakly decrease
     it, so any directed cycle would have to stay inside one class.  Each class
     graph uses the reversed matched edges plus the lcm-preserving facet edges
-    and is tested with a topological peel.
+    and is tested with a topological peel.  An endpoint outside the cells
+    ``0 .. 2**n - 1`` of the complex raises ValueError naming the first one.
     """
     edges = matching.edges
     endpoint_list = [c for e in edges for c in e]
+    size = 1 << tc.n
+    if endpoint_list and (min(endpoint_list) < 0 or max(endpoint_list) >= size):
+        outside = next(c for c in endpoint_list if not 0 <= c < size)
+        raise ValueError(
+            f"matching cell {outside} is outside the cells 0..{size - 1} of the complex"
+        )
     is_matching = len(set(endpoint_list)) == len(endpoint_list)
     is_homogeneous = all(tc.lcm(s) is tc.lcm(t) for s, t in edges)
 

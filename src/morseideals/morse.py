@@ -117,10 +117,11 @@ def morse_differential(
 
     ``family`` restricts the underlying complex to a facet-closed cell set
     (used for the trimmed construction); it must contain every matched cell.
-    The matching is validated first; the entry for a critical pair is the
-    accumulated integer weight times the quotient of the lcm labels, and
-    entries that cancel to zero are dropped.  A quotient whose exponent
-    difference has a negative entry raises ValueError naming both cells.
+    The matching is validated first, and a cell outside the complex raises
+    ValueError.  The entry for a critical pair is the accumulated integer
+    weight times the quotient of the lcm labels, and entries that cancel to
+    zero are dropped.  A quotient whose exponent difference has a negative
+    entry raises ValueError naming both cells.
     """
     report = validate_matching(tc, matching)
     if not report.all_ok:

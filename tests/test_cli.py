@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -5,7 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from morseideals import bm_matching, build_taylor, cell_of, cli, parse_ideal
+from morseideals import (
+    bm_matching,
+    build_taylor,
+    cell_of,
+    cli,
+    critical_cells,
+    critical_family,
+    cycle_edge_ideal,
+    lyubeznik_matching,
+    parse_ideal,
+    trimmed_matching,
+)
 from morseideals.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -85,6 +97,70 @@ def test_trim_accepts_explicit_order2(capsys):
         capsys, "trim", "ranks", "-i", RUN4, "--order2", "w*z,w*x,x*y,y*z"
     )
     assert code == 0
+
+
+SOURCES = [("--cycle", str(n)) for n in range(3, 8)] + [
+    ("-i", str(FIXTURES / name)) for name in ("run4.ideal", "ex56.ideal", "tri.ideal")
+]
+
+
+def _json_cli(capsys, *argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0, argv
+    return json.loads(out)
+
+
+def _source_id(source):
+    return f"C{source[1]}" if source[0] == "--cycle" else Path(source[1]).stem
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=_source_id)
+def test_matching_commands_agree_with_check(capsys, source):
+    """bm/lyu/trim print the library's matching and critical cells of their
+    kind, and ``ranks`` equals both the critical-cell counts and the ranks of
+    the Morse complex that ``check`` builds for the same kind."""
+    if source[0] == "--cycle":
+        ideal = cycle_edge_ideal(int(source[1]))
+    else:
+        ideal = parse_ideal(Path(source[1]).read_text())
+    tc = build_taylor(ideal)
+    index = {name: i for i, name in enumerate(ideal.generator_strings)}
+
+    def cell(names):
+        return cell_of(index[name] for name in names)
+
+    family = critical_family(tc, lyubeznik_matching(tc))
+    reverse = ("--order2", ",".join(reversed(ideal.generator_strings)))
+    for command, kind, extra, matching, kind_family in (
+        ("bm", "bm", (), bm_matching(tc), None),
+        ("lyu", "lyubeznik", (), lyubeznik_matching(tc), None),
+        ("trim", "trimmed", (), trimmed_matching(tc, range(ideal.n)), family),
+        ("trim", "trimmed", reverse, trimmed_matching(tc, reversed(range(ideal.n))), family),
+    ):
+        where = (command, extra)
+        edges = _json_cli(capsys, command, "matching", *source, *extra, "--json")["edges"]
+        edges = [(cell(edge["source"]), cell(edge["target"])) for edge in edges]
+        assert edges == list(matching.edges), where
+        groups = _json_cli(capsys, command, "critical", *source, *extra, "--json")["groups"]
+        groups = [[cell(names) for names in group] for group in groups]
+        assert groups == critical_cells(tc, matching, kind_family), where
+        checked = _json_cli(capsys, "check", *source, "--kind", kind, *extra, "--json")
+        want = checked["results"][0]["ranks"]
+        printed = _json_cli(capsys, command, "ranks", *source, *extra, "--json")["ranks"]
+        assert printed == want, where
+        assert [1] + [len(group) for group in reversed(groups)] == want, where
+
+
+def test_benchmark_shims_name_package_attributes():
+    """Every ``(module, attr)`` that the benchmark's tracer wraps exists."""
+    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SHIMMED
+    for module_name, attr in tracing.SHIMMED:
+        module = importlib.import_module(f"morseideals.{module_name}")
+        assert hasattr(module, attr), (module_name, attr)
 
 
 def test_friendly_golden(capsys):

@@ -15,6 +15,7 @@ from morseideals import (
     cycle_edge_ideal,
     is_bridge_friendly,
     lyubeznik_matching,
+    morse_differential,
     parse_ideal,
     possible_edges_with_positions,
     trimmed_matching,
@@ -240,6 +241,27 @@ def test_validate_matching_on_shared_taylor_complex(run4, ex56):
         assert not fresh["overlapping"].is_matching
         if ideal is ex56:
             assert fresh["cyclic"] == (True, True, False)
+
+
+@pytest.mark.parametrize(
+    "pairs,outside",
+    [
+        # negative cells would wrap around in the lcm table
+        ([(-1, -2)], -1),
+        ([(0b0011, 0b0001), (-1, -2)], -1),
+        # C4 has the cells 0..15
+        ([(0b10001, 0b10000)], 17),
+        ([(0b1111, 0b0111), (0b10001, 0b10000)], 17),
+    ],
+)
+def test_cells_outside_the_complex_are_rejected(pairs, outside):
+    tc = build_taylor(cycle_edge_ideal(4))
+    matching = Matching.from_pairs(pairs)
+    message = f"matching cell {outside} is outside the cells 0..15 of the complex"
+    for check in (validate_matching, morse_differential):
+        with pytest.raises(ValueError) as info:
+            check(tc, matching)
+        assert str(info.value) == message
 
 
 def test_matching_rejects_non_facet_pairs():
