@@ -24,7 +24,7 @@ from .families import (
     parse_graph,
     random_squarefree_ideal,
 )
-from .homology import BettiTable, betti_numbers, exact_rank, homology_ranks
+from .homology import BettiTable, betti_numbers, homology_ranks
 from .matching import (
     Matching,
     MatchingReport,
@@ -40,11 +40,9 @@ from .matching import (
 )
 from .morse import (
     MorseComplex,
-    complex_to_json,
     is_minimal,
     morse_differential,
     ranks,
-    transfer,
     verify_complex,
 )
 from .search import (
@@ -53,13 +51,6 @@ from .search import (
     bridge_friendly_list,
     bridge_minimal_search,
 )
-from .taylor import (
-    TaylorComplex,
-    build_taylor,
-    cardinality,
-    cell_members,
-    cell_of,
-    incidence_sign,
-)
+from .taylor import TaylorComplex, build_taylor, cell_members
 
 __version__ = "0.1.0"

@@ -78,14 +78,6 @@ def _rank_rows(rows) -> int:
     return len(pivots)
 
 
-def exact_rank(matrix) -> int:
-    """Rank over the rationals of a dense integer matrix (a list of rows)."""
-    rows = [list(r) for r in matrix]
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix")
-    return _rank_rows({j: x for j, x in enumerate(r) if x} for r in rows)
-
-
 @dataclass(frozen=True)
 class BettiTable:
     """Total Betti numbers of R/I (degrees 0..n) plus the multigraded split."""

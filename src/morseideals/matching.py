@@ -34,7 +34,28 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
-from .taylor import TaylorComplex, cardinality, cell_members
+from .taylor import TaylorComplex, cell_members
+
+
+def _require_facet_pair(s: int, t: int) -> None:
+    if t & ~s or (s ^ t).bit_count() != 1:
+        raise ValueError(f"edge ({s:#x}, {t:#x}) is not a facet pair")
+
+
+def _outside_error(what: str, cells: Iterable[int], size: int) -> ValueError:
+    """The error naming the first of ``cells`` outside ``0 .. size - 1``."""
+    outside = next(c for c in cells if not 0 <= c < size)
+    return ValueError(f"{what} cell {outside} is outside the cells 0..{size - 1} of the complex")
+
+
+def _family_cells(tc: TaylorComplex, family: Iterable[int]) -> list[int]:
+    """The distinct cells of ``family``, ascending; a cell outside the
+    complex raises ValueError naming the first one."""
+    pool = sorted(set(family))
+    size = 1 << tc.n
+    if pool and (pool[0] < 0 or pool[-1] >= size):
+        raise _outside_error("family", pool, size)
+    return pool
 
 
 class PossibleEdge(NamedTuple):
@@ -61,11 +82,10 @@ class Matching:
     def from_pairs(pairs: Iterable[tuple[int, int]]) -> Matching:
         uniq = sorted(
             {(int(s), int(t)) for s, t in pairs},
-            key=lambda e: (-cardinality(e[0]), e[0], e[1]),
+            key=lambda e: (-int.bit_count(e[0]), e[0], e[1]),
         )
         for s, t in uniq:
-            if t & ~s or (s ^ t).bit_count() != 1:
-                raise ValueError(f"edge ({s:#x}, {t:#x}) is not a facet pair")
+            _require_facet_pair(s, t)
         return Matching(tuple(uniq))
 
     def __iter__(self):
@@ -305,12 +325,14 @@ def critical_cells(
 
     The empty cell is always critical and reported separately (degree 0), so
     the list has exactly n groups; a group may be empty.  Within a group the
-    cells come in ascending bitmask order.
+    cells come in ascending bitmask order.  A ``family`` cell outside the
+    cells ``0 .. 2**n - 1`` of the complex raises ValueError naming the
+    first one.
     """
     touched = matching.touched
     n = tc.n
     groups: list[list[int]] = [[] for _ in range(n)]
-    pool = range(1 << n) if family is None else sorted(set(family))
+    pool = range(1 << n) if family is None else _family_cells(tc, family)
     for c in pool:
         k = c.bit_count()
         if k and c not in touched:
@@ -342,24 +364,27 @@ def validate_matching(tc: TaylorComplex, matching: Matching) -> MatchingReport:
     lcm (for homogeneous matchings) and unmatched facet steps weakly decrease
     it, so any directed cycle would have to stay inside one class.  Each class
     graph uses the reversed matched edges plus the lcm-preserving facet edges
-    and is tested with a topological peel.  An endpoint outside the cells
-    ``0 .. 2**n - 1`` of the complex raises ValueError naming the first one.
+    and is tested with a topological peel.  One pass over the edges checks
+    their cells and groups the homogeneous ones by class.  An endpoint
+    outside the cells ``0 .. 2**n - 1`` of the complex raises ValueError
+    naming the first one, and so does an edge that is not a facet pair, as
+    in :meth:`Matching.from_pairs`.
     """
     edges = matching.edges
-    endpoint_list = [c for e in edges for c in e]
-    size = 1 << tc.n
-    if endpoint_list and (min(endpoint_list) < 0 or max(endpoint_list) >= size):
-        outside = next(c for c in endpoint_list if not 0 <= c < size)
-        raise ValueError(
-            f"matching cell {outside} is outside the cells 0..{size - 1} of the complex"
-        )
-    is_matching = len(set(endpoint_list)) == len(endpoint_list)
-    is_homogeneous = all(tc.lcm(s) is tc.lcm(t) for s, t in edges)
-
+    lcms = tc.lcms
+    size = len(lcms)
+    is_homogeneous = True
     ups_by_class: dict = {}
     for s, t in edges:
-        if tc.lcm(s) is tc.lcm(t):
-            ups_by_class.setdefault(tc.lcm(s), []).append((s, t))
+        if not (0 <= s < size and 0 <= t < size):
+            raise _outside_error("matching", (s, t), size)
+        _require_facet_pair(s, t)
+        label = lcms[s]
+        if lcms[t] is label:
+            ups_by_class.setdefault(label, []).append((s, t))
+        else:
+            is_homogeneous = False
+    is_matching = len(matching.touched) == 2 * len(edges)
 
     bridge_table = tc.bridge_table()
     edge_set = matching.edge_set

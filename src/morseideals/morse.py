@@ -16,14 +16,13 @@ from dataclasses import dataclass
 from operator import sub
 
 from .algebra import Monomial, MonomialIdeal
-from .matching import Matching, validate_matching
+from .matching import Matching, _family_cells, validate_matching
 from .taylor import (
     DifferentialEntry,
     DifferentialMatrix,
     TaylorComplex,
     cell_members,
     facet_sign,
-    incidence_sign,
 )
 
 _PENDING = object()
@@ -65,7 +64,7 @@ def _resolve_transfer(source_of, source_cells, start, memo):
             memo[tau] = {tau: 1}
             return True
         memo[tau] = _PENDING
-        up = -incidence_sign(c, tau)
+        up = -facet_sign(c, (c ^ tau).bit_length() - 1)
         facets = [
             (up * facet_sign(c, j), c ^ (1 << j))
             for j in cell_members(c)
@@ -101,15 +100,6 @@ def _resolve_transfer(source_of, source_cells, start, memo):
     return memo[start]
 
 
-def transfer(tc: TaylorComplex, matching: Matching, cell: int, memo: dict | None = None) -> dict[int, int]:
-    """Integer combination of same-cardinality critical cells reached by the
-    gradient flow starting at ``cell``.  The matching must be homogeneous and
-    acyclic; a non-acyclic matching trips the cycle guard."""
-    if memo is None:
-        memo = {}
-    return dict(_resolve_transfer(matching.source_by_target, matching.source_cells, cell, memo))
-
-
 def morse_differential(
     tc: TaylorComplex, matching: Matching, family=None
 ) -> MorseComplex:
@@ -117,11 +107,12 @@ def morse_differential(
 
     ``family`` restricts the underlying complex to a facet-closed cell set
     (used for the trimmed construction); it must contain every matched cell.
-    The matching is validated first, and a cell outside the complex raises
-    ValueError.  The entry for a critical pair is the accumulated integer
-    weight times the quotient of the lcm labels, and entries that cancel to
-    zero are dropped.  A quotient whose exponent difference has a negative
-    entry raises ValueError naming both cells.
+    The matching is validated first, and a cell of the matching or the
+    family outside the complex raises ValueError naming the first one.  The
+    entry for a critical pair is the accumulated integer weight times the
+    quotient of the lcm labels, and entries that cancel to zero are
+    dropped.  A quotient whose exponent difference has a negative entry
+    raises ValueError naming both cells.
     """
     report = validate_matching(tc, matching)
     if not report.all_ok:
@@ -131,7 +122,7 @@ def morse_differential(
         pool = range(1 << n)
         member_set = None
     else:
-        pool = sorted(set(family))
+        pool = _family_cells(tc, family)
         member_set = set(pool)
         for c in pool:
             for j in cell_members(c):
@@ -195,26 +186,6 @@ def is_minimal(mc: MorseComplex) -> bool:
         for matrix in mc.differentials
         for entry in matrix.entries.values()
     )
-
-
-def complex_to_json(mc: MorseComplex) -> dict:
-    """JSON-ready encoding: basis cells as generator-string lists per degree,
-    differentials as sparse (row, col, coefficient, monomial) quadruples."""
-    strings = mc.ideal.generator_strings
-
-    def encode(cell: int) -> list[str]:
-        return [strings[i] for i in cell_members(cell)]
-
-    return {
-        "basis": [[encode(c) for c in degree] for degree in mc.basis],
-        "differentials": [
-            [
-                [r, c, entry.coefficient, str(entry.monomial_factor)]
-                for (r, c), entry in sorted(matrix.entries.items())
-            ]
-            for matrix in mc.differentials
-        ],
-    }
 
 
 def verify_complex(mc: MorseComplex) -> bool:

@@ -167,49 +167,36 @@ def _run_chunks(worker, bounds_list, workers, progress, total, stop_early):
     a pool worker, is raised here as :class:`SearchWorkerError`, chained
     from it.
     """
-    done = 0
-
-    def report():
-        if progress:
-            print(f"{done}/{total} orders", file=sys.stderr, flush=True)
-
-    if workers <= 1:
-        for bounds in bounds_list:
-            try:
-                result = worker(bounds)
-            except Exception as exc:
-                raise _worker_error(exc) from exc
-            done = bounds[1]
-            report()
-            yield bounds, result
-            if stop_early and result:
-                return
-        return
-    import multiprocessing  # here, not at the top: only the pool needs it
-
-    stop = multiprocessing.Event()
-    pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(_WORK, stop))
+    pool = None
     try:
-        results = pool.imap(_pool_chunk, [(worker, bounds) for bounds in bounds_list])
+        if workers <= 1:
+            results = map(worker, bounds_list)
+        else:
+            import multiprocessing  # here, not at the top: only the pool needs it
+
+            stop = multiprocessing.Event()
+            pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(_WORK, stop))
+            results = pool.imap(_pool_chunk, [(worker, bounds) for bounds in bounds_list])
         for bounds in bounds_list:
             try:
                 result = next(results)
             except Exception as exc:
                 raise _worker_error(exc) from exc
-            done = bounds[1]
-            report()
+            if progress:
+                print(f"{bounds[1]}/{total} orders", file=sys.stderr, flush=True)
             yield bounds, result
             if stop_early and result:
                 return
     finally:
-        # on every exit (the end, an early stop, a worker's exception, the
-        # consumer closing the generator) the workers exit on their own,
-        # after the chunk they are on: terminating the pool may kill one
-        # while it writes a result, which leaves the result queue locked and
-        # the shutdown hung
-        stop.set()
-        pool.close()
-        pool.join()
+        if pool is not None:
+            # on every exit (the end, an early stop, a worker's exception,
+            # the consumer closing the generator) the workers exit on their
+            # own, after the chunk they are on: terminating the pool may
+            # kill one while it writes a result, which leaves the result
+            # queue locked and the shutdown hung
+            stop.set()
+            pool.close()
+            pool.join()
 
 
 def _relabel(cell: int, perm: tuple[int, ...]) -> int:

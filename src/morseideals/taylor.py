@@ -27,17 +27,6 @@ def cell_members(cell: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cell_of(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
-def cardinality(cell: int) -> int:
-    return cell.bit_count()
-
-
 class TaylorComplex:
     """All ``2**n`` cells of an ideal with their lcm labels precomputed.
 
@@ -139,23 +128,15 @@ def build_taylor(ideal: MonomialIdeal, max_generators: int = DEFAULT_MAX_GENERAT
     return TaylorComplex(ideal, lcms)
 
 
-def incidence_sign(source: int, target: int) -> int:
-    """Sign of the facet ``target`` inside ``source``.
-
-    Convention: ``(-1)**j`` where ``j`` is the 0-based rank of the removed
-    index among the source members in ascending order.  Any consistent
-    simplicial convention works; this one is validated globally by the
-    boundary-squares-to-zero checks.
-    """
-    removed = source ^ target
-    if target & ~source or removed.bit_count() != 1:
-        raise ValueError(f"cells {source:#x} -> {target:#x} are not a facet pair")
-    return facet_sign(source, removed.bit_length() - 1)
-
-
 def facet_sign(cell: int, member: int) -> int:
-    """:func:`incidence_sign` of ``cell`` minus its member ``member``,
-    unchecked: for callers that build the facet from the cell."""
+    """Incidence sign of the facet ``cell`` minus its member ``member``.
+
+    Convention: ``(-1)**j`` where ``j`` is the 0-based rank of ``member``
+    among the members of ``cell`` in ascending order.  Any consistent
+    simplicial convention works; this one is validated globally by the
+    boundary-squares-to-zero checks.  Unchecked: ``member`` must belong to
+    ``cell``.
+    """
     return -1 if (cell & ((1 << member) - 1)).bit_count() & 1 else 1
 
 

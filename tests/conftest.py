@@ -11,14 +11,13 @@ from morseideals import (
     cell_members,
     critical_family,
     divides,
-    incidence_sign,
     lyubeznik_matching,
     parse_ideal,
     random_squarefree_ideal,
 )
 from morseideals.algebra import _require_same_context
 from morseideals.homology import _rank_rows
-from morseideals.morse import MorseComplex
+from morseideals.morse import MorseComplex, _resolve_transfer
 from morseideals.taylor import DifferentialEntry, DifferentialMatrix, facet_sign
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -63,6 +62,43 @@ def corpus_ideals(count=100):
 @pytest.fixture(scope="session")
 def corpus():
     return corpus_ideals()
+
+
+def cell_of(indices):
+    """The cell mask with the given generator indices."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def incidence_sign(source, target):
+    """Sign of the facet ``target`` inside ``source``: ``(-1)**j`` where ``j``
+    is the 0-based rank of the removed member among the source members in
+    ascending order.  Checked reference for ``taylor.facet_sign``."""
+    removed = source ^ target
+    if target & ~source or removed.bit_count() != 1:
+        raise ValueError(f"cells {source:#x} -> {target:#x} are not a facet pair")
+    return (-1) ** cell_members(source).index(removed.bit_length() - 1)
+
+
+def transfer(tc, matching, cell, memo=None):
+    """Integer combination of same-cardinality critical cells reached by the
+    gradient flow starting at ``cell``, from the kernel of
+    ``morse_differential``.  The matching must be homogeneous and acyclic; a
+    non-acyclic matching trips the cycle guard."""
+    if memo is None:
+        memo = {}
+    return dict(_resolve_transfer(matching.source_by_target, matching.source_cells, cell, memo))
+
+
+def exact_rank(matrix):
+    """Rank over the rationals of a dense integer matrix (a list of rows),
+    from the sparse kernel ``homology._rank_rows``."""
+    rows = [list(r) for r in matrix]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
+    return _rank_rows({j: x for j, x in enumerate(r) if x} for r in rows)
 
 
 def naive_rank(matrix):

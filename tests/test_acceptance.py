@@ -20,11 +20,9 @@ from morseideals import (
     bridge_friendly_list,
     bridge_minimal_search,
     build_taylor,
-    cell_of,
     critical_cells,
     critical_family,
     cycle_edge_ideal,
-    exact_rank,
     homology_ranks,
     is_bridge_friendly,
     is_minimal,
@@ -40,6 +38,8 @@ from morseideals.cli import main
 from morseideals.families import SplitMix64
 from morseideals.matching import PossibleEdge
 from conftest import (
+    cell_of,
+    exact_rank,
     lyu_min,
     lyu_value,
     naive_homology_ranks,

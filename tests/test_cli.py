@@ -9,7 +9,6 @@ import pytest
 from morseideals import (
     bm_matching,
     build_taylor,
-    cell_of,
     cli,
     critical_cells,
     critical_family,
@@ -19,6 +18,7 @@ from morseideals import (
     trimmed_matching,
 )
 from morseideals.cli import build_parser, main
+from conftest import cell_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RUN4 = str(FIXTURES / "run4.ideal")

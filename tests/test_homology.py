@@ -11,7 +11,6 @@ from morseideals import (
     critical_family,
     cycle_edge_ideal,
     divides,
-    exact_rank,
     format_ideal,
     homology_ranks,
     is_minimal,
@@ -29,6 +28,7 @@ from conftest import (
     CUBICS,
     POWER_IDEAL,
     corpus_ideals,
+    exact_rank,
     naive_betti_numbers,
     naive_homology_ranks,
     naive_rank,

@@ -9,7 +9,6 @@ from morseideals import (
     VariableContext,
     bm_matching,
     build_taylor,
-    cell_of,
     critical_cells,
     critical_family,
     cycle_edge_ideal,
@@ -25,6 +24,7 @@ from morseideals.matching import PossibleEdge, _bridge_pairing, _has_directed_cy
 from conftest import (
     CUBICS,
     POWER_IDEAL,
+    cell_of,
     corpus_ideals,
     lyu_min,
     lyu_value,
@@ -267,6 +267,32 @@ def test_cells_outside_the_complex_are_rejected(pairs, outside):
 def test_matching_rejects_non_facet_pairs():
     with pytest.raises(ValueError):
         Matching.from_pairs([(0b0111, 0b0001)])
+
+
+@pytest.mark.parametrize("edge", [(0b1010, 0b0101), (0b1110, 0b0101), (0b1111, 0b0101)])
+def test_validation_rejects_non_facet_edges(edge):
+    # built directly, so the check in from_pairs never ran
+    tc = build_taylor(cycle_edge_ideal(4))
+    matching = Matching((edge,))
+    message = f"edge ({edge[0]:#x}, {edge[1]:#x}) is not a facet pair"
+    with pytest.raises(ValueError) as info:
+        Matching.from_pairs([edge])
+    assert str(info.value) == message
+    for check in (validate_matching, morse_differential):
+        with pytest.raises(ValueError) as info:
+            check(tc, matching)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("family,outside", [([0, -1], -1), ([0, 16], 16), ([0, -1, 16], -1)])
+def test_family_cells_outside_the_complex_are_rejected(family, outside):
+    tc = build_taylor(cycle_edge_ideal(4))
+    empty = Matching.from_pairs(())
+    message = f"family cell {outside} is outside the cells 0..15 of the complex"
+    for check in (critical_cells, morse_differential):
+        with pytest.raises(ValueError) as info:
+            check(tc, empty, family)
+        assert str(info.value) == message
 
 
 def test_cycle_detector():

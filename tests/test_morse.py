@@ -16,7 +16,6 @@ from morseideals import (
     morse_differential,
     parse_ideal,
     ranks,
-    transfer,
     trimmed_matching,
     verify_complex,
 )
@@ -32,6 +31,7 @@ from conftest import (
     naive_verify_complex,
     quotient,
     taylor_chain_complex,
+    transfer,
 )
 
 
@@ -167,22 +167,6 @@ def test_verify_complex_detects_wrong_monomial_factor(run4):
         mc, lambda entry: DifferentialEntry(entry.coefficient, entry.monomial_factor * w)
     )
     assert not verify_complex(mutated)
-
-
-def test_complex_json_encoding(run4):
-    import json
-
-    from morseideals import complex_to_json
-
-    tc = build_taylor(run4)
-    payload = complex_to_json(morse_differential(tc, bm_matching(tc)))
-    assert json.loads(json.dumps(payload)) == payload
-    assert payload["basis"][0] == [[]]
-    assert payload["basis"][1] == [["y*z"], ["x*y"], ["w*x"], ["w*z"]]
-    assert payload["basis"][3] == [["y*z", "w*x", "w*z"]]
-    degree1 = payload["differentials"][0]
-    assert [entry[3] for entry in degree1] == ["y*z", "x*y", "w*x", "w*z"]
-    assert all(entry[2] == 1 for entry in degree1)
 
 
 def test_zero_and_single_generator_complexes():

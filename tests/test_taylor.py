@@ -5,16 +5,16 @@ from morseideals import (
     VariableContext,
     build_taylor,
     cell_members,
-    cell_of,
     cycle_edge_ideal,
-    incidence_sign,
     parse_ideal,
     verify_complex,
 )
 from morseideals.taylor import facet_sign
 from conftest import (
     CUBICS,
+    cell_of,
     corpus_ideals,
+    incidence_sign,
     naive_bridge_table,
     naive_classes,
     naive_divisor_masks,
