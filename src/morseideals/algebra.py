@@ -11,7 +11,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 MAX_EXPONENT = 2**31 - 1
 
@@ -68,17 +68,6 @@ class Monomial:
                 raise ValueError(f"exponents must be nonnegative integers, got {e!r}")
             if e > MAX_EXPONENT:
                 raise ValueError(f"exponent {e} exceeds the supported bound {MAX_EXPONENT}")
-
-    @classmethod
-    def trusted(cls, context: VariableContext, exponents: tuple[int, ...]) -> Monomial:
-        """A monomial from an exponent tuple the caller has already checked.
-
-        Skips the ``__post_init__`` loop over the exponents; for hot paths
-        that derive valid exponents from monomials that passed it.
-        """
-        mono = object.__new__(cls)
-        mono.__dict__.update(context=context, exponents=exponents)
-        return mono
 
     @cached_property
     def support_mask(self) -> int:
@@ -190,13 +179,19 @@ class MonomialIdeal:
     def generator_strings(self) -> tuple[str, ...]:
         return tuple(str(g) for g in self.generators)
 
-    def reordered(self, order: Sequence[int]) -> MonomialIdeal:
+    def reordered(self, order: Iterable[int]) -> MonomialIdeal:
         """The same ideal with generators permuted; ``order[p]`` gives the
         index of the generator placed at position ``p``."""
-        order = tuple(order)
-        if sorted(order) != list(range(self.n)):
-            raise ValueError(f"{order} is not a permutation of 0..{self.n - 1}")
+        order = _permutation(order, self.n)
         return MonomialIdeal(self.context, tuple(self.generators[i] for i in order))
+
+
+def _permutation(order: Iterable[int], n: int) -> tuple[int, ...]:
+    """``order``, taken once, as a tuple; ValueError unless it permutes 0..n-1."""
+    order = tuple(order)
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"{order} is not a permutation of 0..{n - 1}")
+    return order
 
 
 def _require_same_context_ideal(ctx: VariableContext, g: Monomial) -> None:

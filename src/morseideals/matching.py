@@ -34,6 +34,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
+from .algebra import _permutation
 from .taylor import TaylorComplex, cell_members
 
 
@@ -239,17 +240,14 @@ def possible_edges_with_positions(tc: TaylorComplex) -> list[PossibleEdge]:
     return [PossibleEdge(p, s, t) for p, s, t, _ in _bridge_pairing(tc, range(tc.n))]
 
 
-def bm_matching(tc: TaylorComplex, order: Sequence[int] | None = None) -> Matching:
+def bm_matching(tc: TaylorComplex, order: Iterable[int] | None = None) -> Matching:
     """The Barile-Macchia matching of the ideal with respect to its order.
 
     Given ``order``, a permutation of the generator indices smallest first,
     the matching is that of the reordered ideal, with its cells still in
     the complex's own indexing.
     """
-    if order is None:
-        order = range(tc.n)
-    elif sorted(order) != list(range(tc.n)):
-        raise ValueError(f"{tuple(order)} is not a permutation of 0..{tc.n - 1}")
+    order = range(tc.n) if order is None else _permutation(order, tc.n)
     matching = _kept_matching(_bridge_pairing(tc, order))
     # removing a bridge keeps the lcm, so every edge must be homogeneous
     for s, t in matching.edges:
@@ -302,7 +300,7 @@ def critical_family(tc: TaylorComplex, matching: Matching) -> list[int]:
     return [c for c in range(1 << tc.n) if c not in touched]
 
 
-def trimmed_matching(tc: TaylorComplex, order2: Sequence[int]) -> Matching:
+def trimmed_matching(tc: TaylorComplex, order2: Iterable[int]) -> Matching:
     """Bridge pairing over the Lyubeznik-critical cells under a second order.
 
     The Lyubeznik matching is taken with respect to the ideal's own order;
@@ -311,9 +309,7 @@ def trimmed_matching(tc: TaylorComplex, order2: Sequence[int]) -> Matching:
     inside the critical family, which holds because that family is a
     simplicial complex.
     """
-    order2 = tuple(order2)
-    if sorted(order2) != list(range(tc.n)):
-        raise ValueError(f"{order2} is not a permutation of 0..{tc.n - 1}")
+    order2 = _permutation(order2, tc.n)
     family = critical_family(tc, lyubeznik_matching(tc))
     return _kept_matching(_bridge_pairing(tc, order2, family))
 

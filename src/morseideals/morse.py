@@ -1,13 +1,13 @@
 """Morse chain complexes induced by homogeneous acyclic matchings.
 
-The differential of a critical cell is obtained by pushing each facet down
-the gradient flow of the matching: critical cells map to themselves, sources
-of matched edges die, and the target of a matched edge bounces to the other
-facets of its partner with the appropriate signs.  Weight convention: the
-reversed matched step from target t up to source c contributes the negated
-incidence sign of (c, t); an ordinary facet step contributes its incidence
-sign; the empty path contributes 1.  The convention is validated behaviorally
-(boundary composes to zero, homology matches the Betti oracle).
+The differential of a critical cell pushes each facet down the gradient
+flow of the matching: critical cells map to themselves, sources of matched
+edges die, and the target of a matched edge bounces to the other facets of
+its partner.  The reversed step from target t up to source c weighs the
+negated incidence sign of (c, t), a facet step its incidence sign, and the
+empty path 1; d^2 = 0 and homology equal to the Betti oracle validate this
+convention.  The flow is resolved on a plain two-visit stack of cells with
+one memo per complex, shared by every facet (:func:`_resolve_transfer`).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .taylor import (
 )
 
 _PENDING = object()
+_LOOPS = "matching is not acyclic: gradient flow loops"
 
 
 @dataclass(frozen=True)
@@ -44,58 +45,45 @@ class MorseComplex:
 def _resolve_transfer(source_of, source_cells, start, memo):
     """Fill ``memo[start]`` with the critical-cell combination of ``start``.
 
-    Iterative so that long gradient flow chains never hit the recursion
-    limit.  A pending marker doubles as the cycle guard: meeting one while
-    expanding means the matching is not acyclic.
+    A plain stack of cells, so long gradient flow chains never hit the
+    recursion limit.  A matched target is visited twice: the first visit
+    marks it ``_PENDING`` and pushes the unresolved other facets of its
+    source, the second sums ``up * facet_sign * memo[facet]`` over them.
+    The pending cells on the stack are exactly the ancestors of the cell
+    being expanded, so a pending facet means the gradient flow loops.
     """
     got = memo.get(start)
+    if got is _PENDING:
+        raise ValueError(_LOOPS)
     if got is not None:
-        if got is _PENDING:
-            raise ValueError("matching is not acyclic: gradient flow loops")
         return got
-
-    def open_frame(tau):
-        # True when tau resolved without needing a frame
-        if tau in source_cells:
-            memo[tau] = {}
-            return True
-        c = source_of.get(tau)
-        if c is None:
-            memo[tau] = {tau: 1}
-            return True
-        memo[tau] = _PENDING
-        up = -facet_sign(c, (c ^ tau).bit_length() - 1)
-        facets = [
-            (up * facet_sign(c, j), c ^ (1 << j))
-            for j in cell_members(c)
-            if c ^ (1 << j) != tau
-        ]
-        stack.append([tau, facets, 0, {}])
-        return False
-
-    stack: list[list] = []
-    if open_frame(start):
-        return memo[start]
+    stack = [start]
     while stack:
-        frame = stack[-1]
-        tau, facets, _, acc = frame
-        suspended = False
-        while frame[2] < len(facets):
-            sign, facet = facets[frame[2]]
-            part = memo.get(facet)
-            if part is None:
-                if not open_frame(facet):
-                    suspended = True
-                    break
-                continue  # resolved inline; accumulate on the next pass
-            if part is _PENDING:
-                raise ValueError("matching is not acyclic: gradient flow loops")
-            for crit, weight in part.items():
-                acc[crit] = acc.get(crit, 0) + sign * weight
-            frame[2] += 1
-        if suspended:
-            continue
-        memo[tau] = {k: v for k, v in acc.items() if v}
+        tau = stack[-1]
+        c = source_of.get(tau)
+        if tau not in memo:
+            if tau in source_cells:
+                memo[tau] = {}
+            elif c is None:
+                memo[tau] = {tau: 1}
+            else:
+                memo[tau] = _PENDING
+                for j in cell_members(tau):
+                    part = memo.get(c ^ (1 << j))
+                    if part is _PENDING:
+                        raise ValueError(_LOOPS)
+                    if part is None:
+                        stack.append(c ^ (1 << j))
+                if stack[-1] != tau:  # facets to resolve first
+                    continue
+        if memo[tau] is _PENDING:
+            up = -facet_sign(c, (c ^ tau).bit_length() - 1)
+            acc: dict[int, int] = {}
+            for j in cell_members(tau):
+                sign = up * facet_sign(c, j)
+                for crit, weight in memo[c ^ (1 << j)].items():
+                    acc[crit] = acc.get(crit, 0) + sign * weight
+            memo[tau] = {k: v for k, v in acc.items() if v}
         stack.pop()
     return memo[start]
 
@@ -120,7 +108,6 @@ def morse_differential(
     n = tc.n
     if family is None:
         pool = range(1 << n)
-        member_set = None
     else:
         pool = _family_cells(tc, family)
         member_set = set(pool)
@@ -162,13 +149,13 @@ def morse_differential(
             for crit, weight in acc.items():
                 if weight:
                     exponents = tuple(map(sub, top, lcms[crit].exponents))
-                    if min(exponents) < 0:
-                        raise ValueError(
-                            f"lcm of cell {crit:#x} does not divide the lcm of cell {sigma:#x}"
-                        )
                     factor = factors.get(exponents)
                     if factor is None:
-                        factor = factors[exponents] = Monomial.trusted(context, exponents)
+                        if min(exponents) < 0:
+                            raise ValueError(
+                                f"lcm of cell {crit:#x} does not divide the lcm of cell {sigma:#x}"
+                            )
+                        factor = factors[exponents] = Monomial(context, exponents)
                     entries[(row_index[crit], cidx)] = DifferentialEntry(weight, factor)
         differentials.append(DifferentialMatrix(rows, cols, entries))
     return MorseComplex(tc.ideal, tuple(tuple(b) for b in basis), tuple(differentials))

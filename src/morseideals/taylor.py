@@ -50,15 +50,6 @@ class TaylorComplex:
     def lcm(self, cell: int) -> Monomial:
         return self.lcms[cell]
 
-    def bridges(self, cell: int) -> list[int]:
-        """Members whose removal keeps the lcm, ascending.
-
-        Lcm entries are interned, so identity comparison is exact.
-        """
-        lcms = self.lcms
-        label = lcms[cell]
-        return [i for i in cell_members(cell) if lcms[cell ^ (1 << i)] is label]
-
     def classes(self) -> Mapping[Monomial, tuple[int, ...]]:
         """Cells grouped by lcm label, each group ascending (cached, read-only).
 
@@ -72,18 +63,19 @@ class TaylorComplex:
         return self._class_cache
 
     def bridge_table(self) -> tuple[tuple[int, ...], ...]:
-        """Bridges of every cell, indexed by cell mask (cached).
-
-        A bridge keeps the lcm, so only cells that share their label with
-        another cell have any.  Bridges do not depend on the generator order,
-        so order searches can reuse this table across permutations.
+        """Bridges of every cell, indexed by cell mask (cached): the members
+        whose removal keeps the lcm, ascending, found by identity of the
+        interned labels.  Only cells sharing their label have any, and no
+        entry depends on the order, so order searches share one table.  Each
+        entry is a tuple of a list, as one of a generator over-allocates.
         """
         if self._bridge_cache is None:
-            table: list[tuple[int, ...]] = [()] * len(self.lcms)
-            for cells in self.classes().values():
+            lcms = self.lcms
+            table: list[tuple[int, ...]] = [()] * len(lcms)
+            for label, cells in self.classes().items():
                 if len(cells) > 1:
                     for c in cells:
-                        table[c] = tuple(self.bridges(c))
+                        table[c] = tuple([i for i in cell_members(c) if lcms[c ^ (1 << i)] is label])
             self._bridge_cache = tuple(table)
         return self._bridge_cache
 

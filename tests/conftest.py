@@ -82,6 +82,14 @@ def incidence_sign(source, target):
     return (-1) ** cell_members(source).index(removed.bit_length() - 1)
 
 
+def unchecked_monomial(context, exponents):
+    """A Monomial that skips ``__post_init__``, so exponents of any sign or
+    length go through; for tests that feed malformed factors."""
+    mono = object.__new__(Monomial)
+    mono.__dict__.update(context=context, exponents=tuple(exponents))
+    return mono
+
+
 def transfer(tc, matching, cell, memo=None):
     """Integer combination of same-cardinality critical cells reached by the
     gradient flow starting at ``cell``, from the kernel of
@@ -380,7 +388,7 @@ def monomial_lcm(a, b):
 
 def smallest_bridge(tc, cell):
     """The bridge of minimal position, or None if the cell has none."""
-    found = tc.bridges(cell)
+    found = tc.bridge_table()[cell]
     return found[0] if found else None
 
 
@@ -428,15 +436,16 @@ def sweep_cells(tc, ordered_cells, family_set=None, positions=None):
     cell of strictly smaller cardinality.  When ``positions`` is given the
     smallest bridge is taken with respect to those positions instead of the
     generator indices.  Reference for the bitset kernel ``matching._sweep``:
-    it reads ``tc.bridges`` cell by cell and keeps no bitsets.
+    it reads ``tc.bridge_table()`` cell by cell and keeps no bitsets.
     """
     removed = set()
     out = []
     ideal_gens = tc.ideal.generators
+    table = tc.bridge_table()
     for sigma in ordered_cells:
         if sigma in removed:
             continue
-        found = tc.bridges(sigma)
+        found = table[sigma]
         if not found:
             continue
         if positions is None:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -155,6 +156,20 @@ def test_trimmed_requires_permutation(run4):
         trimmed_matching(tc, (0, 1, 2))
     with pytest.raises(ValueError, match="not a permutation"):
         bm_matching(tc, (0, 1, 2, 2))
+
+
+def test_one_shot_orders_give_the_list_order_result():
+    ideal = cycle_edge_ideal(5)
+    tc = build_taylor(ideal)
+    order = [4, 2, 0, 3, 1]
+    assert len(bm_matching(tc, iter(range(5)))) == 10
+    for build in (partial(bm_matching, tc), partial(trimmed_matching, tc), ideal.reordered):
+        expected = build(order)
+        assert build(iter(order)) == expected
+        assert build(g for g in order) == expected
+    for bad in (iter([0, 1, 2, 3]), (g for g in [0, 1, 2, 3, 3])):
+        with pytest.raises(ValueError, match="is not a permutation of 0..4"):
+            bm_matching(tc, bad)
 
 
 def test_critical_cells_running_ideal(run4):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from morseideals import (
@@ -32,6 +34,7 @@ from conftest import (
     quotient,
     taylor_chain_complex,
     transfer,
+    unchecked_monomial,
 )
 
 
@@ -66,6 +69,28 @@ def test_transfer_cycle_guard():
     source_of = {0b011: 0b111, 0b101: 0b111}
     with pytest.raises(ValueError, match="acyclic"):
         _resolve_transfer(source_of, frozenset(), 0b011, {})
+
+
+def _doctored_chain(length):
+    """Target ``1 << k`` matched up to ``(1 << k) | (1 << (k + 1))``: the
+    flow from ``1`` runs through every link to the unmatched ``1 << length``."""
+    return {1 << k: (1 << k) | (1 << (k + 1)) for k in range(length)}
+
+
+def test_transfer_deeper_than_the_recursion_limit():
+    length = 3000
+    assert length > sys.getrecursionlimit()
+    memo = {}
+    assert _resolve_transfer(_doctored_chain(length), frozenset(), 1, memo) == {1 << length: 1}
+    assert memo[1 << (length // 2)] == {1 << length: 1}
+
+
+def test_transfer_loop_at_the_far_end_of_a_deep_chain():
+    length = 3000
+    source_of = _doctored_chain(length)
+    source_of[1 << length] = (1 << length) | 1  # its other facet is the start
+    with pytest.raises(ValueError, match="matching is not acyclic: gradient flow loops"):
+        _resolve_transfer(source_of, frozenset(), 1, {})
 
 
 def test_morse_complex_running_ideal(run4):
@@ -250,14 +275,14 @@ XY = VariableContext(("x0", "x1"))
 def _hand_complex(low, high):
     """Two differentials over ``x0, x1``, each given as
     ``{(row, col): (coefficient, exponents)}``.  Factors are built with
-    ``Monomial.trusted``, so any exponents go through."""
+    ``unchecked_monomial``, so any exponents go through."""
 
     def matrix(entries, rows, cols):
         return DifferentialMatrix(
             rows,
             cols,
             {
-                key: DifferentialEntry(coefficient, Monomial.trusted(XY, tuple(exponents)))
+                key: DifferentialEntry(coefficient, unchecked_monomial(XY, exponents))
                 for key, (coefficient, exponents) in entries.items()
             },
         )
@@ -328,7 +353,7 @@ def test_verify_complex_with_negative_exponents():
 def test_verify_complex_rejects_a_factor_of_the_wrong_length(run4):
     mc = taylor_chain_complex(build_taylor(run4))
     for exponents in ((1, 0, 0), (1, 0, 0, 0, 0)):
-        short = Monomial.trusted(run4.context, exponents)
+        short = unchecked_monomial(run4.context, exponents)
         mutated = _with_first_entry(mc, lambda entry: DifferentialEntry(entry.coefficient, short))
         with pytest.raises(ValueError, match=f"expected 4 exponents in a monomial factor, got {len(exponents)}"):
             verify_complex(mutated)
