@@ -11,6 +11,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterable, Sequence
 
 MAX_EXPONENT = 2**31 - 1
@@ -187,11 +188,15 @@ class MonomialIdeal:
 
 
 def _permutation(order: Iterable[int], n: int) -> tuple[int, ...]:
-    """``order``, taken once, as a tuple; ValueError unless it permutes 0..n-1."""
+    """``order``, taken once, as a tuple; ValueError unless it holds integers permuting 0..n-1."""
     order = tuple(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"{order} is not a permutation of 0..{n - 1}")
-    return order
+    try:
+        perm = tuple(map(index, order))
+        if sorted(perm) == list(range(n)):
+            return perm
+    except TypeError:
+        pass
+    raise ValueError(f"{order} is not a permutation of 0..{n - 1}")
 
 
 def _require_same_context_ideal(ctx: VariableContext, g: Monomial) -> None:

@@ -53,6 +53,16 @@ def parse_graph(text: str) -> SimpleGraph:
     return SimpleGraph(vertex_count, tuple(edges))
 
 
+def _edge_ideal(context: VariableContext, pairs) -> MonomialIdeal:
+    """The ideal generated by ``x_u * x_v`` for the 1-based vertex ``pairs``, in order."""
+    gens = []
+    for u, v in pairs:
+        exps = [0] * context.size
+        exps[u - 1] = exps[v - 1] = 1
+        gens.append(Monomial(context, tuple(exps)))
+    return MonomialIdeal(context, tuple(gens))
+
+
 def edge_ideal(graph: SimpleGraph, names: Sequence[str] | None = None) -> MonomialIdeal:
     """One squarefree quadratic generator per edge, in sorted edge order."""
     if names is None:
@@ -60,13 +70,7 @@ def edge_ideal(graph: SimpleGraph, names: Sequence[str] | None = None) -> Monomi
     context = VariableContext(tuple(names))
     if context.size != graph.vertex_count:
         raise ValueError("one variable name per vertex required")
-    gens = []
-    for u, v in graph.edges:
-        exps = [0] * context.size
-        exps[u - 1] = 1
-        exps[v - 1] = 1
-        gens.append(Monomial(context, tuple(exps)))
-    return MonomialIdeal(context, tuple(gens))
+    return _edge_ideal(context, graph.edges)
 
 
 def cycle_edge_ideal(n: int) -> MonomialIdeal:
@@ -75,14 +79,7 @@ def cycle_edge_ideal(n: int) -> MonomialIdeal:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     context = VariableContext(tuple(f"x{i}" for i in range(1, n + 1)))
-    pairs = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    gens = []
-    for u, v in pairs:
-        exps = [0] * n
-        exps[u - 1] = 1
-        exps[v - 1] = 1
-        gens.append(Monomial(context, tuple(exps)))
-    return MonomialIdeal(context, tuple(gens))
+    return _edge_ideal(context, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
 class SplitMix64:

@@ -336,67 +336,56 @@ def critical_cells(
     return groups
 
 
-def _has_directed_cycle(nodes: Sequence[int], adjacency: dict[int, list[int]]) -> bool:
-    indegree = {v: 0 for v in nodes}
-    for v in nodes:
-        for w in adjacency.get(v, ()):
+def _has_directed_cycle(adjacency: dict[int, list[int]]) -> bool:
+    """Kahn peel: True iff the graph, whose keys are its nodes, has a cycle."""
+    indegree = dict.fromkeys(adjacency, 0)
+    for successors in adjacency.values():
+        for w in successors:
             indegree[w] += 1
-    ready = [v for v in nodes if indegree[v] == 0]
+    ready = [v for v, d in indegree.items() if d == 0]
     seen = 0
     while ready:
         v = ready.pop()
         seen += 1
-        for w in adjacency.get(v, ()):
+        for w in adjacency[v]:
             indegree[w] -= 1
             if indegree[w] == 0:
                 ready.append(w)
-    return seen != len(nodes)
+    return seen != len(adjacency)
 
 
 def validate_matching(tc: TaylorComplex, matching: Matching) -> MatchingReport:
     """Check vertex-disjointness, lcm homogeneity and acyclicity.
 
-    Acyclicity is decided per lcm class: reversed matched edges preserve the
-    lcm (for homogeneous matchings) and unmatched facet steps weakly decrease
-    it, so any directed cycle would have to stay inside one class.  Each class
-    graph uses the reversed matched edges plus the lcm-preserving facet edges
-    and is tested with a topological peel.  One pass over the edges checks
-    their cells and groups the homogeneous ones by class.  An endpoint
-    outside the cells ``0 .. 2**n - 1`` of the complex raises ValueError
-    naming the first one, and so does an edge that is not a facet pair, as
-    in :meth:`Matching.from_pairs`.
+    ``is_acyclic`` is True only for an acyclic matching: no directed cycle
+    runs through the lcm-preserving facet steps and the reversed homogeneous
+    matched edges.  A reversed edge ``t -> s`` ends at a source, which is no
+    target, so the next step goes down, to a facet ``t' != t`` of ``s`` with
+    its lcm.  A cycle has as many ups as downs, so they alternate and every
+    ``t'`` is a target again.  One Kahn peel on the targets with the steps
+    ``t -> t'`` decides; a step never lowers the lcm and raises it at an
+    inhomogeneous edge, so such an edge lies on no cycle.
+
+    An endpoint outside the cells ``0 .. 2**n - 1`` of the complex raises
+    ValueError naming the first one, and so does an edge that is not a
+    facet pair, as in :meth:`Matching.from_pairs`.
     """
     edges = matching.edges
     lcms = tc.lcms
     size = len(lcms)
     is_homogeneous = True
-    ups_by_class: dict = {}
     for s, t in edges:
         if not (0 <= s < size and 0 <= t < size):
             raise _outside_error("matching", (s, t), size)
         _require_facet_pair(s, t)
-        label = lcms[s]
-        if lcms[t] is label:
-            ups_by_class.setdefault(label, []).append((s, t))
-        else:
+        if lcms[s] is not lcms[t]:
             is_homogeneous = False
     is_matching = len(matching.touched) == 2 * len(edges)
-
-    bridge_table = tc.bridge_table()
-    edge_set = matching.edge_set
-    is_acyclic = True
-    for label, nodes in tc.classes().items():
-        if len(nodes) < 2:
-            continue
-        adjacency: dict[int, list[int]] = {}
-        for s in nodes:
-            for b in bridge_table[s]:
-                t = s ^ (1 << b)
-                if (s, t) not in edge_set:
-                    adjacency.setdefault(s, []).append(t)
-        for s, t in ups_by_class.get(label, ()):
-            adjacency.setdefault(t, []).append(s)
-        if _has_directed_cycle(nodes, adjacency):
-            is_acyclic = False
-            break
+    source_of = matching.source_by_target
+    table = tc.bridge_table()
+    steps = {
+        t: [f for f in (s ^ (1 << b) for b in table[s]) if f != t and f in source_of]
+        for t, s in source_of.items()
+    }
+    is_acyclic = is_matching and not _has_directed_cycle(steps)
     return MatchingReport(is_matching, is_homogeneous, is_acyclic)

@@ -259,6 +259,43 @@ def naive_bridge_table(tc):
     )
 
 
+def naive_is_acyclic(tc, matching):
+    """DFS over the whole modified Hasse diagram, lcms from the generators.
+
+    Every cell is a node.  Its lcm-preserving facet steps that are not
+    matched edges go down, and every homogeneous matched edge goes up,
+    reversed.  True iff no directed cycle exists; reference for the
+    acyclicity verdict of ``validate_matching`` on a matching.
+    """
+    lcm = [_cell_lcm_exponents(tc.ideal, cell) for cell in range(1 << tc.n)]
+    matched = matching.edge_set
+    steps = []
+    for cell in range(1 << tc.n):
+        facets = (cell ^ (1 << i) for i in cell_members(cell))
+        steps.append([f for f in facets if lcm[f] == lcm[cell] and (cell, f) not in matched])
+    for s, t in matching:
+        if lcm[s] == lcm[t]:
+            steps[t].append(s)
+    state = [0] * len(steps)  # 0 unseen, 1 on the DFS path, 2 finished
+    for root in range(len(steps)):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(steps[root]))]
+        while stack:
+            cell, successors = stack[-1]
+            nxt = next(successors, -1)
+            if nxt < 0:
+                state[cell] = 2
+                stack.pop()
+            elif state[nxt] == 1:
+                return False
+            elif state[nxt] == 0:
+                state[nxt] = 1
+                stack.append((nxt, iter(steps[nxt])))
+    return True
+
+
 def naive_divisor_masks(tc):
     """For every cell, the mask of the generators dividing its lcm,
     recomputed from the exponents; reference for ``TaylorComplex.divisor_masks``."""

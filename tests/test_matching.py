@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from functools import partial
 
 import pytest
@@ -10,6 +11,7 @@ from morseideals import (
     VariableContext,
     bm_matching,
     build_taylor,
+    cell_members,
     critical_cells,
     critical_family,
     cycle_edge_ideal,
@@ -29,6 +31,7 @@ from conftest import (
     corpus_ideals,
     lyu_min,
     lyu_value,
+    naive_is_acyclic,
     reference_bm_matching,
     reference_is_bridge_friendly,
     reference_lyubeznik_matching,
@@ -172,6 +175,33 @@ def test_one_shot_orders_give_the_list_order_result():
             bm_matching(tc, bad)
 
 
+class _Index:
+    """An integer-like order entry, read through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[0.0, 1, 2, 3, 4], [4, 3, 2, 1, 0.0], [0, 1.5, 2, 3, 4], ["0", 1, 2, 3, 4], [0, 1, 2, 3, None]],
+)
+def test_non_integer_orders_are_rejected(bad):
+    ideal = cycle_edge_ideal(5)
+    tc = build_taylor(ideal)
+    message = f"^{re.escape(f'{tuple(bad)} is not a permutation of 0..4')}$"
+    for build in (partial(bm_matching, tc), partial(trimmed_matching, tc), ideal.reordered):
+        with pytest.raises(ValueError, match=message):
+            build(bad)
+        with pytest.raises(ValueError, match=message):
+            build(iter(bad))
+        # entries with __index__ count as the integers they stand for
+        assert build([_Index(g) for g in (4, 2, 0, 3, 1)]) == build([4, 2, 0, 3, 1])
+
+
 def test_critical_cells_running_ideal(run4):
     tc = build_taylor(run4)
     assert critical_cells(tc, bm_matching(tc)) == [
@@ -218,6 +248,8 @@ def test_validate_matching_flags(run4):
 
     overlapping = Matching.from_pairs([(0b1111, 0b1110), (0b1110, 0b0110)])
     assert not validate_matching(tc, overlapping).is_matching
+    # an edge set that is not a matching is never an acyclic matching
+    assert validate_matching(tc, overlapping).is_acyclic is False
 
 
 # three homogeneous, vertex-disjoint edges of ex56 whose reversal closes a
@@ -311,8 +343,56 @@ def test_family_cells_outside_the_complex_are_rejected(family, outside):
 
 
 def test_cycle_detector():
-    assert _has_directed_cycle([1, 2, 3], {1: [2], 2: [3], 3: [1]})
-    assert not _has_directed_cycle([1, 2, 3], {1: [2, 3], 2: [3]})
+    assert _has_directed_cycle({1: [2], 2: [3], 3: [1]})
+    assert _has_directed_cycle({1: [1], 2: []})
+    assert not _has_directed_cycle({1: [2, 3], 2: [3], 3: []})
+    assert not _has_directed_cycle({})
+
+
+def _random_edge_sets(tc, rng, count):
+    """Seeded random facet edge sets on ``tc`` of random density, mostly
+    lcm-preserving so that gradient cycles are common: every third set is
+    homogeneous, and every fifth may overlap."""
+    table = tc.bridge_table()
+    for k in range(count):
+        used, pairs = set(), []
+        density = rng.choice((0.1, 0.3, 0.9))
+        cells = list(range(1, 1 << tc.n))
+        rng.shuffle(cells)
+        for s in cells:
+            if k % 3 == 0 or (table[s] and rng.random() < 0.8):
+                members = table[s]
+            else:
+                members = cell_members(s)
+            if not members:
+                continue
+            t = s ^ (1 << rng.choice(members))
+            if (k % 5 == 0 or not {s, t} & used) and rng.random() < density:
+                used |= {s, t}
+                pairs.append((s, t))
+        yield Matching.from_pairs(pairs)
+
+
+def test_acyclicity_matches_the_full_hasse_diagram(run4, tri, ex56, corpus):
+    """The verdict on the matched targets alone equals a DFS over every cell
+    of the modified Hasse diagram, on seeded random edge sets: cyclic ones,
+    ones with inhomogeneous edges, and overlapping ones, which are never
+    acyclic matchings."""
+    rng = random.Random(14)
+    quadrics = "vars: w x y z\ngens: w^2 w*x w*y w*z x^2 x*y x*z y^2 y*z z^2\n"
+    ideals = [run4, tri, ex56, parse_ideal(CUBICS), parse_ideal(quadrics)]
+    ideals += [cycle_edge_ideal(n) for n in range(4, 9)] + corpus[:40]
+    seen = set()
+    for ideal in ideals:
+        tc = build_taylor(ideal)
+        for matching in _random_edge_sets(tc, rng, 10 if ideal.n < 10 else 20):
+            report = validate_matching(tc, matching)
+            expected = report.is_matching and naive_is_acyclic(tc, matching)
+            assert report.is_acyclic == expected, (ideal.generator_strings, matching.edges)
+            seen.add(tuple(report))
+    # cyclic and acyclic matchings, homogeneous or not, and overlapping sets
+    assert {(True, h, a) for h in (True, False) for a in (True, False)} <= seen
+    assert {(False, h, False) for h in (True, False)} <= seen
 
 
 def test_duplicate_target_resolution_prefers_smaller_bridge():
