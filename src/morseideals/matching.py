@@ -7,7 +7,7 @@ are sets of directed facet edges ``(source, target)`` with
 
 The bridge pairing of the Barile-Macchia and trimmed constructions, and of
 every order that :mod:`morseideals.search` tries, is decided by one kernel,
-:func:`_sweep`, over bitsets indexed by cell mask: bit ``c`` of an ``int``
+:func:`_step`, over bitsets indexed by cell mask: bit ``c`` of an ``int``
 stands for cell ``c``.  The payload holds, for each cardinality ``k >= 3``
 and each generator ``g``, the bitset ``rows[k][g]`` of the k-cells that have
 ``g`` as a bridge, and the union ``levels[k]`` of these rows.  The sweep goes
@@ -24,6 +24,10 @@ so the critical cells of cardinality k number
 once level k is swept, since lower levels only add targets below k - 1; the
 minimal search may therefore drop an order at the first level whose count
 differs from the Betti total without changing any result.
+
+:func:`_step` advances the state of a prefix by one position; when a level's
+live set empties, the next level rescans the prefix.  :func:`_sweep` folds
+the step over a whole order.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from operator import index, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import _permutation
@@ -81,10 +85,13 @@ class Matching:
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, int]]) -> Matching:
-        uniq = sorted(
-            {(int(s), int(t)) for s, t in pairs},
-            key=lambda e: (-int.bit_count(e[0]), e[0], e[1]),
-        )
+        edges = set()
+        for s, t in pairs:
+            try:
+                edges.add((index(s), index(t)))
+            except TypeError:
+                raise ValueError(f"edge ({s!r}, {t!r}) has a non-integer endpoint") from None
+        uniq = sorted(edges, key=lambda e: (-int.bit_count(e[0]), e[0], e[1]))
         for s, t in uniq:
             _require_facet_pair(s, t)
         return Matching(tuple(uniq))
@@ -94,10 +101,6 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
 
     @cached_property
     def touched(self) -> frozenset[int]:
@@ -123,7 +126,7 @@ class MatchingReport(NamedTuple):
 
 
 def _payload(tc, target_ranks, family=None):
-    """``(n, rows, levels, counts, target)`` for :func:`_sweep`; with a
+    """``(n, rows, levels, counts, target)`` for :func:`_step`; with a
     ``family``, only its cells enter ``rows``."""
     n = tc.n
     rows = [[0] * n for _ in range(n + 1)]
@@ -139,28 +142,30 @@ def _payload(tc, target_ranks, family=None):
     return (n, tuple(map(tuple, rows)), levels, counts, target_ranks)
 
 
-def _sweep(perm, work, friendly_only=False, record=None):
-    """Bridge-pair the Taylor cells under one order; see the module docstring.
+def _root(work):
+    """The sweep state of the empty order; see :func:`_step`."""
+    n, _, levels, counts, target = work
+    if n >= 3:
+        return n, levels[n], 0, 0, counts, True
+    # no level to sweep: the order is decided before it starts
+    return None if target is not None and target != counts else (2, 0, 0, 0, counts, True)
 
-    Returns ``(ranks, friendly)``: the critical cells per cardinality and
-    whether no possible edge is discarded.  Returns None as soon as the
-    order is known to fail: when the payload carries a target and a level's
-    count differs from it, or, with ``friendly_only``, at the first
-    duplicate target.  Given a ``record`` list, appends
-    ``(g, targets, found_before)`` for every generator ``g`` that picks
-    cells: the bitset of their targets and that of the targets picked
-    before it at the same level.
+
+def _step(state, order, p, work, friendly_only=False, record=None):
+    """The sweep state of ``order[:p + 1]``, from that of ``order[:p]``.
+
+    A state is ``(k, live, found, paired, ranks, friendly)``: the live cells
+    and targets of level ``k``, the number of targets of level ``k + 1`` and
+    the final counts of the levels above ``k``.  Once level 3 is final,
+    ``k`` is 2 and ``ranks`` and ``friendly`` hold for every extension.
+    Returns None once the prefix fails; see :func:`_sweep`.
     """
-    n, rows, levels, counts, target = work
-    ranks = list(counts)
-    friendly = True
-    below = 0  # targets in level k, picked by the sweep of level k + 1
-    paired = 0  # their number
-    for k in range(n, 2, -1):
-        live = levels[k] & ~below
+    k, live, found, paired, ranks, friendly = state
+    _, rows, levels, _, target = work
+    lo = p
+    while True:
         row = rows[k]
-        found = 0
-        for g in perm:
+        for g in order[lo : p + 1]:
             hit = live & row[g]
             if hit:
                 live ^= hit
@@ -174,17 +179,42 @@ def _sweep(perm, work, friendly_only=False, record=None):
                 found |= hit
                 if not live:
                     break
+        if live:
+            return k, live, found, paired, ranks, friendly
+        ranks = list(ranks)
         ranks[k] -= paired  # k-cells taken as targets
-        below, paired = found, found.bit_count()
+        paired = found.bit_count()
         ranks[k] -= paired  # k-cells that are sources
         if target is not None and ranks[k] != target[k]:
             return None
-    if paired:
-        ranks[2] -= paired
-    ranks = tuple(ranks)
-    if target is not None and ranks != target:
-        return None
-    return ranks, friendly
+        k -= 1
+        if k < 3:
+            ranks[2] -= paired
+            ranks = tuple(ranks)
+            if target is not None and ranks != target:
+                return None
+            return k, 0, 0, 0, ranks, friendly
+        live, found, lo = levels[k] & ~found, 0, 0
+
+
+def _sweep(perm, work, friendly_only=False, record=None):
+    """Bridge-pair the Taylor cells under one order, folding :func:`_step`.
+
+    Returns ``(ranks, friendly)``: the critical cells per cardinality and
+    whether no possible edge is discarded.  Returns None as soon as the
+    order is known to fail: when the payload carries a target and a level's
+    count differs from it, or, with ``friendly_only``, at the first
+    duplicate target.  Given a ``record`` list, appends
+    ``(g, targets, found_before)`` for every generator ``g`` that picks
+    cells: the bitset of their targets and that of the targets picked
+    before it at the same level.
+    """
+    state = _root(work)
+    for p in range(len(perm)):
+        if state is None or state[0] < 3:
+            break
+        state = _step(state, perm, p, work, friendly_only, record)
+    return None if state is None else state[4:]
 
 
 def _bridge_pairing(

@@ -6,16 +6,24 @@ and bridge sets do not depend on the order, so one precomputed bridge table
 serves every permutation; only the choice of smallest bridge changes.
 
 Every order is decided by the bitset sweep of
-:func:`morseideals.matching._sweep`, the kernel that also builds the
-Barile-Macchia and trimmed matchings; the module docstring of
-:mod:`morseideals.matching` describes it.
+:func:`morseideals.matching._step`, the kernel that also builds the
+Barile-Macchia and trimmed matchings, on the lexicographic prefix tree of
+the orders.  Level k of the sweep starts from the targets of level k + 1
+alone and reads positions 0, 1, ... of the order until its live set is
+empty, which it is by the last position, since every live cell has a
+bridge.  So the sweep state after a prefix depends on that prefix alone.
+Hence a failure decided within a prefix (a level count that misses the
+Betti total, or a duplicate target when only friendly orders are wanted)
+holds for every extension; once level 3 is final, every extension has the
+same ranks and friendliness; and the walk, which takes children in
+ascending order, yields the accepted orders in stream order, so the orders
+tried are those of an order-by-order scan.
 
 Work is split into contiguous chunks of the lexicographic permutation stream
-and may run on several processes.  Each chunk starts at the permutation
-unranked from its first index and continues in lexicographic order.  Results
-are merged in chunk order, which makes every output independent of the
-worker count and of the chunk size.  Progress (orders tried / total) goes to
-standard error when requested.
+and may run on several processes.  Each chunk walks the prefix tree clipped
+to its index range.  Results are merged in chunk order, which makes every
+output independent of the worker count and of the chunk size.  Progress
+(orders tried / total) goes to standard error when requested.
 """
 
 from __future__ import annotations
@@ -27,11 +35,10 @@ import re
 import signal
 import sys
 from dataclasses import dataclass
-from typing import Iterator
 
 from .algebra import MonomialIdeal
 from .homology import betti_numbers
-from .matching import Matching, _payload, _sweep, bm_matching
+from .matching import Matching, _payload, _root, _step, bm_matching
 from .taylor import build_taylor
 
 ORDER_SEARCH_GUARD = 10
@@ -66,37 +73,6 @@ def _worker_error(exc: Exception) -> SearchWorkerError:
         f"a search worker failed: {type(exc).__name__}: {exc} "
         f"(at {os.path.basename(path)}:{line} in {func})"
     )
-
-
-def _unrank(n: int, index: int) -> tuple[int, ...]:
-    """The permutation at ``index`` of the lexicographic stream, from its Lehmer code."""
-    pool = list(range(n))
-    out = []
-    for m in range(n - 1, -1, -1):
-        digit, index = divmod(index, math.factorial(m))
-        out.append(pool.pop(digit))
-    return tuple(out)
-
-
-def _orders_from(prefix: tuple[int, ...], perm: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """``prefix + q`` for every permutation ``q`` of ``perm``'s entries that
-    is lexicographically at least ``perm``, in lexicographic order."""
-    if not perm:
-        yield prefix
-        return
-    head = perm[0]
-    yield from _orders_from(prefix + (head,), perm[1:])
-    pool = sorted(perm)
-    for first in pool:
-        if first > head:
-            lead = prefix + (first,)
-            for rest in itertools.permutations([x for x in pool if x != first]):
-                yield lead + rest
-
-
-def _chunk_orders(n: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
-    """Orders ``start .. stop - 1`` of the lexicographic stream."""
-    return itertools.islice(_orders_from((), _unrank(n, start)), stop - start)
 
 
 def _check_guard(n: int, force: bool) -> None:
@@ -137,23 +113,57 @@ def _pool_chunk(task):
     return None if _STOP.is_set() else worker(bounds)
 
 
+def _scan(work, start, stop, friendly_only, first_only):
+    """Orders ``start .. stop - 1`` of the lexicographic stream that the sweep
+    accepts, as ``(index, order, (ranks, friendly))`` in stream order; with
+    ``first_only``, the first of them alone.
+
+    A depth-first walk of the prefix tree, clipped to the range, that keeps
+    the sweep state of each prefix (see the module docstring): a failed
+    prefix drops its subtree, and a decided one yields all its orders.
+    """
+    n = work[0]
+    sizes = [math.factorial(m) for m in range(n + 1)]
+    order = list(range(n))  # order[:p] is the prefix being visited
+    hits = []
+
+    def visit(state, p, rest, lo):
+        # ``state`` is the sweep of order[:p]; its orders start at index lo
+        if state[0] < 3:
+            head, skip, result = tuple(order[:p]), max(start - lo, 0), state[4:]
+            tails = itertools.islice(itertools.permutations(rest), skip, stop - lo)
+            for index, tail in enumerate(tails, lo + skip):
+                hits.append((index, head + tail, result))
+                if first_only:
+                    return True
+            return False
+        size = sizes[len(rest) - 1]
+        for i, g in enumerate(rest):
+            sub = lo + i * size
+            if sub >= stop:
+                break
+            if sub + size > start:
+                order[p] = g
+                child = _step(state, order, p, work, friendly_only)
+                if child is not None and visit(child, p + 1, rest[:i] + rest[i + 1 :], sub):
+                    return True
+        return False
+
+    root = _root(work)
+    if root is not None:
+        visit(root, 0, list(range(n)), 0)
+    return hits
+
+
 def _scan_friendly_chunk(bounds: tuple[int, int]) -> list[tuple[int, ...]]:
     """Permutations in the chunk whose bridge pairing loses no edge."""
-    work = _WORK
-    return [
-        perm
-        for perm in _chunk_orders(work[0], *bounds)
-        if _sweep(perm, work, friendly_only=True) is not None
-    ]
+    return [perm for _, perm, _ in _scan(_WORK, *bounds, True, False)]
 
 
 def _scan_minimal_chunk(bounds: tuple[int, int]):
     """First permutation in the chunk whose pairing ranks hit the target."""
-    work = _WORK
-    for index, perm in enumerate(_chunk_orders(work[0], *bounds), bounds[0]):
-        swept = _sweep(perm, work)
-        if swept is not None:
-            return (index, perm, swept[0])
+    for index, perm, (ranks, _) in _scan(_WORK, *bounds, False, True):
+        return index, perm, ranks
     return None
 
 

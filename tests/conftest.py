@@ -259,6 +259,11 @@ def naive_bridge_table(tc):
     )
 
 
+def edge_set(matching):
+    """The edges of ``matching`` as a set."""
+    return frozenset(matching.edges)
+
+
 def naive_is_acyclic(tc, matching):
     """DFS over the whole modified Hasse diagram, lcms from the generators.
 
@@ -268,7 +273,7 @@ def naive_is_acyclic(tc, matching):
     acyclicity verdict of ``validate_matching`` on a matching.
     """
     lcm = [_cell_lcm_exponents(tc.ideal, cell) for cell in range(1 << tc.n)]
-    matched = matching.edge_set
+    matched = edge_set(matching)
     steps = []
     for cell in range(1 << tc.n):
         facets = (cell ^ (1 << i) for i in cell_members(cell))
@@ -502,6 +507,47 @@ def sweep_cells(tc, ordered_cells, family_set=None, positions=None):
     return out
 
 
+def stream_sweep(perm, work, friendly_only=False, record=None):
+    """The bitset sweep of one whole order, level after level, as
+    ``matching._sweep`` returns it; reference for ``_sweep``, which folds
+    the prefix step ``matching._step`` over the order, and for the searches,
+    which share each prefix's state among its extensions."""
+    n, rows, levels, counts, target = work
+    ranks = list(counts)
+    friendly = True
+    below = 0  # targets in level k, picked by the sweep of level k + 1
+    paired = 0  # their number
+    for k in range(n, 2, -1):
+        live = levels[k] & ~below
+        row = rows[k]
+        found = 0
+        for g in perm:
+            hit = live & row[g]
+            if hit:
+                live ^= hit
+                hit >>= 1 << g
+                if record is not None:
+                    record.append((g, hit, found))
+                if found & hit:
+                    if friendly_only:
+                        return None
+                    friendly = False
+                found |= hit
+                if not live:
+                    break
+        ranks[k] -= paired  # k-cells taken as targets
+        below, paired = found, found.bit_count()
+        ranks[k] -= paired  # k-cells that are sources
+        if target is not None and ranks[k] != target[k]:
+            return None
+    if paired:
+        ranks[2] -= paired
+    ranks = tuple(ranks)
+    if target is not None and ranks != target:
+        return None
+    return ranks, friendly
+
+
 def resolve_duplicate_targets(edges):
     """Step (3): among edges sharing a target, keep the smallest bridge."""
     best = {}
@@ -537,7 +583,7 @@ def reference_bm_matching(tc):
 def reference_is_bridge_friendly(tc):
     possible = reference_possible_edges(tc)
     kept = resolve_duplicate_targets(possible)
-    return {(pe.source, pe.target) for pe in possible} == kept.edge_set
+    return {(pe.source, pe.target) for pe in possible} == edge_set(kept)
 
 
 def reference_trimmed_matching(tc, order2):

@@ -39,6 +39,7 @@ from morseideals.families import SplitMix64
 from morseideals.matching import PossibleEdge
 from conftest import (
     cell_of,
+    edge_set,
     exact_rank,
     lyu_min,
     lyu_value,
@@ -158,8 +159,8 @@ def test_criterion_6_ex56_lyubeznik_values(ex56):
         assert lyu_min(tc, sigma2) == 3  # m3
         assert lyu_value(tc, sigma3) is None
         matching = lyubeznik_matching(tc)
-        assert (sigma1 | 0b1, sigma1) in matching.edge_set
-        assert (sigma2, sigma2 ^ (1 << 3)) in matching.edge_set
+        assert (sigma1 | 0b1, sigma1) in edge_set(matching)
+        assert (sigma2, sigma2 ^ (1 << 3)) in edge_set(matching)
         assert all(sigma3 not in edge for edge in matching.edges)
 
 
@@ -229,6 +230,19 @@ def test_criterion_8_c10_exhaustive_row():
 
 
 @pytest.mark.slow
+def test_criterion_8_c11_orders_starting_with_generator_0():
+    with criterion(8, "C11 orders starting with generator 0 (the first 10! orders)"):
+        c11 = cycle_edge_ideal(11)
+        result = bridge_minimal_search(
+            c11, limit=math.factorial(10), workers=WORKERS, force=True
+        )
+        # no witness among the orders scanned; nothing is claimed of the rest
+        assert (result.order, result.ranks) == (None, None)
+        assert result.orders_tried == math.factorial(10)
+        assert result.orders_total == math.factorial(11)
+
+
+@pytest.mark.slow
 def test_criterion_8_c12_check_every_kind(capsys):
     with criterion(8, "C12 check, every kind against the oracle"):
         assert main(["check", "--cycle", "12", "--json"]) == 0
@@ -266,7 +280,8 @@ def test_criterion_9_property_suite(corpus):
                 values = ranks(complex_)
                 assert is_minimal(complex_) == (values == totals), (kind, ideal)
                 rank_lists[kind] = values
-            assert bm.edge_set <= {(pe.source, pe.target) for pe in possible_edges_with_positions(tc)}
+            possible = possible_edges_with_positions(tc)
+            assert edge_set(bm) <= {(pe.source, pe.target) for pe in possible}
             for i in range(n + 1):
                 assert rank_lists["trimmed"][i] <= rank_lists["lyubeznik"][i]
                 assert rank_lists["lyubeznik"][i] <= math.comb(n, i)

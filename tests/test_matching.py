@@ -29,6 +29,7 @@ from conftest import (
     POWER_IDEAL,
     cell_of,
     corpus_ideals,
+    edge_set,
     lyu_min,
     lyu_value,
     naive_is_acyclic,
@@ -69,7 +70,7 @@ def test_bm_matching_running_ideal(run4):
     assert set(m.edges) == {(0b1111, 0b1110), (0b0111, 0b0101), (0b1011, 0b1010)}
     # the fourth possible edge is removed by the duplicate-target step
     assert (0b1101, 0b0101) in {(pe.source, pe.target) for pe in possible_edges_with_positions(tc)}
-    assert (0b1101, 0b0101) not in m.edge_set
+    assert (0b1101, 0b0101) not in edge_set(m)
 
 
 def test_bm_matching_trivial_cases():
@@ -118,8 +119,8 @@ def test_lyubeznik_matching_ex56_edges(ex56):
     sigma1 = cell_of((5, 2, 1))
     sigma2 = cell_of((5, 4, 3))
     sigma3 = cell_of((4, 3, 2))
-    assert (sigma1 | 1, sigma1) in m.edge_set
-    assert (sigma2, sigma2 & ~(1 << 3)) in m.edge_set
+    assert (sigma1 | 1, sigma1) in edge_set(m)
+    assert (sigma2, sigma2 & ~(1 << 3)) in edge_set(m)
     assert all(sigma3 not in edge for edge in m.edges)
 
 
@@ -316,6 +317,14 @@ def test_matching_rejects_non_facet_pairs():
         Matching.from_pairs([(0b0111, 0b0001)])
 
 
+@pytest.mark.parametrize("edge", [(3.7, 1), ("3", "1"), (3, 1.0), (None, 1)])
+def test_matching_rejects_non_integer_endpoints(edge):
+    # each would otherwise read as, or fail like, the facet pair (3, 1)
+    with pytest.raises(ValueError) as info:
+        Matching.from_pairs([(0b11, 0b10), edge])
+    assert str(info.value) == f"edge ({edge[0]!r}, {edge[1]!r}) has a non-integer endpoint"
+
+
 @pytest.mark.parametrize("edge", [(0b1010, 0b0101), (0b1110, 0b0101), (0b1111, 0b0101)])
 def test_validation_rejects_non_facet_edges(edge):
     # built directly, so the check in from_pairs never ran
@@ -428,7 +437,7 @@ def test_possible_edges_contain_matching_on_corpus():
         tc = build_taylor(ideal)
         pe = {(e.source, e.target) for e in possible_edges_with_positions(tc)}
         m = bm_matching(tc)
-        assert m.edge_set <= pe
+        assert edge_set(m) <= pe
         # singleton cells stay critical in both constructions
         lyu = lyubeznik_matching(tc)
         for i in range(ideal.n):

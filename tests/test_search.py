@@ -1,5 +1,7 @@
+import itertools
 import math
 import multiprocessing.process
+import random
 import signal
 import threading
 from pathlib import Path
@@ -12,27 +14,25 @@ from morseideals import (
     bridge_friendly_list,
     bridge_minimal_search,
     build_taylor,
+    critical_family,
     cycle_edge_ideal,
     edge_ideal,
     is_bridge_friendly,
+    lyubeznik_matching,
     parse_ideal,
+    random_squarefree_ideal,
 )
 from morseideals import search
 from morseideals.cli import main
 from morseideals.families import SimpleGraph
-from morseideals.search import (
-    SearchWorkerError,
-    _chunk_bounds,
-    _chunk_orders,
-    _run_chunks,
-    _unrank,
-)
+from morseideals.search import SearchWorkerError, _chunk_bounds, _run_chunks, _scan
 from morseideals.matching import _payload, _sweep
 from conftest import (
     corpus_ideals,
     enumerate_orders,
     reference_bm_matching,
     reference_is_bridge_friendly,
+    stream_sweep,
 )
 
 
@@ -48,23 +48,83 @@ def test_enumerate_orders_lexicographic():
     assert list(enumerate_orders(0)) == [()]
 
 
-def test_unrank_matches_the_stream():
-    for n in range(7):
-        for index, perm in enumerate(enumerate_orders(n)):
-            assert _unrank(n, index) == perm
+# ideals with 0, 1 and 2 generators, which the sweep decides before any position
+FEW_GENERATORS = ("vars: x y\ngens:\n", "vars: x y\ngens: x*y\n", "vars: x y z\ngens: x*y y*z\n")
+
+
+def _works(ideal):
+    """The search payloads of ``ideal``: with no target, and with its Betti totals."""
+    tc = build_taylor(ideal)
+    return _payload(tc, None), _payload(tc, tuple(betti_numbers(tc).totals))
+
+
+def _stream_hits(work, friendly_only):
+    """``_scan`` over the whole stream, order by order through ``stream_sweep``."""
+    hits = []
+    for index, perm in enumerate(enumerate_orders(work[0])):
+        swept = stream_sweep(perm, work, friendly_only)
+        if swept is not None:
+            hits.append((index, perm, swept))
+    return hits
+
+
+def test_scan_lists_the_stream():
+    # with no target, every order is accepted, at its index in the stream
+    ideals = [parse_ideal(text) for text in FEW_GENERATORS]
+    for ideal in ideals + [cycle_edge_ideal(n) for n in range(3, 7)]:
+        work, _ = _works(ideal)
+        hits = _scan(work, 0, math.factorial(ideal.n), False, False)
+        assert [(i, p) for i, p, _ in hits] == list(enumerate(enumerate_orders(ideal.n)))
 
 
 def test_chunks_partition_the_stream():
-    for n in (5, 6):
-        total = math.factorial(n)
-        stream = list(enumerate_orders(n))
-        for chunk in (1, 7, 50, 200):
-            bounds = _chunk_bounds(total, chunk)
-            assert bounds[0][0] == 0 and bounds[-1][1] == total
-            # each chunk starts from its own unranked permutation; the chunks
-            # glued back together must reproduce the lexicographic stream
-            rebuilt = [p for start, stop in bounds for p in _chunk_orders(n, start, stop)]
-            assert rebuilt == stream
+    # each chunk walks the prefix tree clipped to its range; the chunk scans
+    # glued back together must give the scan of the whole stream
+    for ideal in (cycle_edge_ideal(5), cycle_edge_ideal(6), parse_ideal(NON_SQUAREFREE[1])):
+        total = math.factorial(ideal.n)
+        for work, friendly_only in itertools.product(_works(ideal), (False, True)):
+            whole = _scan(work, 0, total, friendly_only, False)
+            for chunk in (1, 7, 50, 200):
+                bounds = _chunk_bounds(total, chunk)
+                assert bounds[0][0] == 0 and bounds[-1][1] == total
+                glued = [_scan(work, *b, friendly_only, False) for b in bounds]
+                assert [hit for hits in glued for hit in hits] == whole
+                firsts = [_scan(work, *b, friendly_only, True) for b in bounds]
+                assert next(filter(None, firsts), []) == whole[:1]
+
+
+def test_scan_equals_the_stream_scan():
+    rng = random.Random(15)
+    ideals = [parse_ideal(text) for text in FEW_GENERATORS] + corpus_ideals(40)
+    ideals += [cycle_edge_ideal(7), random_squarefree_ideal(3, 6, 7)]
+    ideals += [parse_ideal(text) for text in NON_SQUAREFREE]
+    assert {ideal.n for ideal in ideals} == set(range(8))
+    for ideal in ideals:
+        total = math.factorial(ideal.n)
+        for work, friendly_only in itertools.product(_works(ideal), (False, True)):
+            stream = _stream_hits(work, friendly_only)
+            ranges = [sorted(rng.randrange(total + 1) for _ in range(2)) for _ in range(4)]
+            for start, stop in [(0, total)] + ranges:
+                within = [hit for hit in stream if start <= hit[0] < stop]
+                assert _scan(work, start, stop, friendly_only, False) == within, ideal
+                assert _scan(work, start, stop, friendly_only, True) == within[:1], ideal
+
+
+def test_sweep_records_equal_the_stream_sweep():
+    rng = random.Random(16)
+    for ideal in corpus_ideals(40) + [cycle_edge_ideal(n) for n in (7, 8)]:
+        tc = build_taylor(ideal)
+        family = critical_family(tc, lyubeznik_matching(tc))
+        works = _works(ideal) + (_payload(tc, None, family),)
+        for _ in range(20):
+            perm = tuple(rng.sample(range(ideal.n), ideal.n))
+            for work in works:
+                for friendly_only in (False, True):
+                    got, want = [], []
+                    assert _sweep(perm, work, friendly_only, got) == stream_sweep(
+                        perm, work, friendly_only, want
+                    )
+                    assert got == want, (ideal, perm)
 
 
 def test_triangle_friendly_catalog(tri):
