@@ -19,11 +19,12 @@ their targets, the cells minus ``g``, are the bitset ``S >> 2**g``.  A
 target that is met twice at a level is a discard of step (3), so the order
 is not bridge-friendly; the first generator to meet a target has the
 smallest bridge, and its edge is the one kept.  Each target keeps one edge,
-so the critical cells of cardinality k number
-``C(n, k) - |targets[k - 1]| - |targets[k]|``.  Both target sets are final
-once level k is swept, since lower levels only add targets below k - 1; the
-minimal search may therefore drop an order at the first level whose count
-differs from the Betti total without changing any result.
+so the critical cells of cardinality k number the k-cells of the payload
+(``C(n, k)``, or those of its family) less ``|targets[k - 1]|`` and
+``|targets[k]|``.  Both target sets are final once level k is swept, since
+lower levels only add targets below k - 1; the minimal search may therefore
+drop an order at the first level whose count differs from the Betti total
+without changing any result.
 
 :func:`_step` advances the state of a prefix by one position; when a level's
 live set empties, the next level rescans the prefix.  :func:`_sweep` folds
@@ -32,7 +33,6 @@ the step over a whole order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import index, or_
@@ -127,19 +127,20 @@ class MatchingReport(NamedTuple):
 
 def _payload(tc, target_ranks, family=None):
     """``(n, rows, levels, counts, target)`` for :func:`_step`; with a
-    ``family``, only its cells enter ``rows``."""
+    ``family``, only its cells enter ``rows`` and ``counts``."""
     n = tc.n
     rows = [[0] * n for _ in range(n + 1)]
+    counts = [0] * (n + 1)
     table = tc.bridge_table()
     for cell in range(1 << n) if family is None else family:
         k = cell.bit_count()
+        counts[k] += 1
         if k >= 3:
             bit = 1 << cell
             for g in table[cell]:
                 rows[k][g] |= bit
     levels = tuple(reduce(or_, row, 0) for row in rows)
-    counts = tuple(math.comb(n, k) for k in range(n + 1))
-    return (n, tuple(map(tuple, rows)), levels, counts, target_ranks)
+    return (n, tuple(map(tuple, rows)), levels, tuple(counts), target_ranks)
 
 
 def _root(work):
@@ -218,7 +219,7 @@ def _sweep(perm, work, friendly_only=False, record=None):
 
 
 def _bridge_pairing(
-    tc: TaylorComplex, order: Sequence[int], family: Iterable[int] | None = None
+    tc: TaylorComplex, order: Sequence[int], family: Iterable[int] | None = None, work=None
 ) -> list[tuple[int, int, int, bool]]:
     """Every possible edge of the bridge pairing under ``order``.
 
@@ -228,14 +229,16 @@ def _bridge_pairing(
     step (3) discards the edge for a smaller bridge with the same target.
     Edges come by descending source cardinality, then ascending source
     mask.  ``family`` restricts the pairing to its cells (cardinality at
-    least 3) and must contain every target.
+    least 3) and must contain every target.  ``work``, the
+    :func:`_payload` of ``tc`` and ``family`` without a target, spares
+    building it again when many orders share it.
     """
     position = [0] * tc.n
     for p, g in enumerate(order):
         position[g] = p
     members = None if family is None else set(family)
     record: list[tuple[int, int, int]] = []
-    _sweep(order, _payload(tc, None, members), record=record)
+    _sweep(order, _payload(tc, None, members) if work is None else work, record=record)
     edges = []
     for g, targets, found_before in record:
         bit = 1 << g
@@ -270,15 +273,15 @@ def possible_edges_with_positions(tc: TaylorComplex) -> list[PossibleEdge]:
     return [PossibleEdge(p, s, t) for p, s, t, _ in _bridge_pairing(tc, range(tc.n))]
 
 
-def bm_matching(tc: TaylorComplex, order: Iterable[int] | None = None) -> Matching:
+def bm_matching(tc: TaylorComplex, order: Iterable[int] | None = None, *, work=None) -> Matching:
     """The Barile-Macchia matching of the ideal with respect to its order.
 
     Given ``order``, a permutation of the generator indices smallest first,
     the matching is that of the reordered ideal, with its cells still in
-    the complex's own indexing.
+    the complex's own indexing.  ``work`` is passed to :func:`_bridge_pairing`.
     """
     order = range(tc.n) if order is None else _permutation(order, tc.n)
-    matching = _kept_matching(_bridge_pairing(tc, order))
+    matching = _kept_matching(_bridge_pairing(tc, order, work=work))
     # removing a bridge keeps the lcm, so every edge must be homogeneous
     for s, t in matching.edges:
         if tc.lcm(s) is not tc.lcm(t):

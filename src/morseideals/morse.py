@@ -7,13 +7,22 @@ its partner.  The reversed step from target t up to source c weighs the
 negated incidence sign of (c, t), a facet step its incidence sign, and the
 empty path 1; d^2 = 0 and homology equal to the Betti oracle validate this
 convention.  The flow is resolved on a plain two-visit stack of cells with
-one memo per complex, shared by every facet (:func:`_resolve_transfer`).
+one memo per complex, shared by every facet (:func:`_resolve_transfer`);
+a critical or source facet needs no walk, so a column adds its sign or
+nothing directly.
+
+Each entry's factor is the quotient of two lcm labels.  The distinct labels
+of the critical cells are packed into one int each: variable ``v`` gets a
+field as wide as its largest exponent among them, plus one guard bit on
+top.  Setting every guard bit of the upper label and subtracting the lower
+one gives the packed quotient; a field whose exponent would be negative
+borrows its own guard bit and no other, so the quotient exists exactly when
+every guard bit survives.  Entries are shared per (quotient, weight).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 
 from .algebra import Monomial, MonomialIdeal
 from .matching import Matching, _family_cells, validate_matching
@@ -48,7 +57,8 @@ def _resolve_transfer(source_of, source_cells, start, memo):
     A plain stack of cells, so long gradient flow chains never hit the
     recursion limit.  A matched target is visited twice: the first visit
     marks it ``_PENDING`` and pushes the unresolved other facets of its
-    source, the second sums ``up * facet_sign * memo[facet]`` over them.
+    source, the second sums ``up * facet_sign * memo[facet]`` over them,
+    with ``facet_sign`` as a sign alternating over the members ascending.
     The pending cells on the stack are exactly the ancestors of the cell
     being expanded, so a pending facet means the gradient flow loops.
     """
@@ -77,12 +87,17 @@ def _resolve_transfer(source_of, source_cells, start, memo):
                 if stack[-1] != tau:  # facets to resolve first
                     continue
         if memo[tau] is _PENDING:
-            up = -facet_sign(c, (c ^ tau).bit_length() - 1)
+            matched = c ^ tau
+            sign = -facet_sign(c, matched.bit_length() - 1)  # the step up
             acc: dict[int, int] = {}
-            for j in cell_members(tau):
-                sign = up * facet_sign(c, j)
-                for crit, weight in memo[c ^ (1 << j)].items():
-                    acc[crit] = acc.get(crit, 0) + sign * weight
+            rest = c
+            while rest:  # members of c ascending; sign times facet_sign(c, j)
+                low = rest & -rest
+                rest ^= low
+                if low != matched:
+                    for crit, weight in memo[c ^ low].items():
+                        acc[crit] = acc.get(crit, 0) + sign * weight
+                sign = -sign
             memo[tau] = {k: v for k, v in acc.items() if v}
         stack.pop()
     return memo[start]
@@ -100,7 +115,9 @@ def morse_differential(
     entry for a critical pair is the accumulated integer weight times the
     quotient of the lcm labels, and entries that cancel to zero are
     dropped.  A quotient whose exponent difference has a negative entry
-    raises ValueError naming both cells.
+    raises ValueError naming both cells.  Quotients are taken on the packed
+    labels of the module docstring, and every (quotient, weight) pair gets
+    one shared, immutable entry.
     """
     report = validate_matching(tc, matching)
     if not report.all_ok:
@@ -129,7 +146,17 @@ def morse_differential(
     source_cells = matching.source_cells
     lcms = tc.lcms
     context = tc.ideal.context
-    factors: dict[tuple[int, ...], Monomial] = {}  # one instance per distinct factor
+    # pack the distinct labels of the critical cells, one guarded field each
+    labels = {id(lcms[c]): lcms[c].exponents for b in basis for c in b}
+    fields, shift, guards = [], 0, 0
+    for column in zip(*labels.values()):
+        width = max(column).bit_length()
+        fields.append((shift, (1 << width) - 1))
+        guards |= 1 << (shift + width)
+        shift += width + 1
+    code = {key: sum(e << s for e, (s, _) in zip(exps, fields)) for key, exps in labels.items()}
+    packed = {c: code[id(lcms[c])] for b in basis for c in b}
+    entry_of: dict[tuple[int, int], DifferentialEntry] = {}  # shared per (quotient, weight)
     memo: dict = {}
     differentials = []
     for i in range(1, n + 1):
@@ -138,25 +165,33 @@ def morse_differential(
         row_index = {c: k for k, c in enumerate(rows)}
         entries: dict[tuple[int, int], DifferentialEntry] = {}
         for cidx, sigma in enumerate(cols):
-            top = lcms[sigma].exponents
+            top = packed[sigma] | guards
             acc: dict[int, int] = {}
-            for j in cell_members(sigma):
-                sign = facet_sign(sigma, j)
-                for crit, weight in _resolve_transfer(
-                    source_of, source_cells, sigma ^ (1 << j), memo
-                ).items():
-                    acc[crit] = acc.get(crit, 0) + sign * weight
+            sign = 1  # facet_sign(sigma, j) over the members j ascending
+            rest = sigma
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                tau = sigma ^ low
+                if tau in source_of:
+                    part = _resolve_transfer(source_of, source_cells, tau, memo)
+                    for crit, weight in part.items():
+                        acc[crit] = acc.get(crit, 0) + sign * weight
+                elif tau not in source_cells:  # critical: it maps to itself
+                    acc[tau] = acc.get(tau, 0) + sign
+                sign = -sign
             for crit, weight in acc.items():
                 if weight:
-                    exponents = tuple(map(sub, top, lcms[crit].exponents))
-                    factor = factors.get(exponents)
-                    if factor is None:
-                        if min(exponents) < 0:
+                    q = top - packed[crit]
+                    entry = entry_of.get((q, weight))
+                    if entry is None:
+                        if q & guards != guards:  # a field borrowed its guard bit
                             raise ValueError(
                                 f"lcm of cell {crit:#x} does not divide the lcm of cell {sigma:#x}"
                             )
-                        factor = factors[exponents] = Monomial(context, exponents)
-                    entries[(row_index[crit], cidx)] = DifferentialEntry(weight, factor)
+                        factor = Monomial(context, tuple(q >> s & mask for s, mask in fields))
+                        entry = entry_of[(q, weight)] = DifferentialEntry(weight, factor)
+                    entries[(row_index[crit], cidx)] = entry
         differentials.append(DifferentialMatrix(rows, cols, entries))
     return MorseComplex(tc.ideal, tuple(tuple(b) for b in basis), tuple(differentials))
 

@@ -226,21 +226,23 @@ def bridge_friendly_list(
     Returns (permutation, matching) pairs in lexicographic permutation order;
     each matching is the bridge pairing of the reordered ideal, expressed in
     the reordered indexing.  Every matching is built on the one complex the
-    scan uses and then relabelled, since bridges do not depend on the order.
+    scan uses, from the scan's own payload, and then relabelled, since
+    bridges do not depend on the order.
     """
     _check_at_least("workers", workers, 1)
     n = ideal.n
     _check_guard(n, force)
     total = math.factorial(n)
     tc = build_taylor(ideal)
-    _init_worker(_payload(tc, None))
+    work = _payload(tc, None)
+    _init_worker(work)
     bounds_list = _chunk_bounds(total, _chunk_size(total, workers))
     hits: list[tuple[int, ...]] = []
     for _, found in _run_chunks(_scan_friendly_chunk, bounds_list, workers, progress, total, False):
         hits.extend(found)
     out = []
     for perm in hits:
-        pairs = bm_matching(tc, perm)
+        pairs = bm_matching(tc, perm, work=work)
         matching = Matching.from_pairs((_relabel(s, perm), _relabel(t, perm)) for s, t in pairs)
         out.append((perm, matching))
     return out

@@ -9,6 +9,7 @@ from morseideals import (
     Monomial,
     PossibleEdge,
     cell_members,
+    critical_cells,
     critical_family,
     divides,
     lyubeznik_matching,
@@ -468,6 +469,33 @@ def taylor_chain_complex(tc):
     n = tc.n
     basis = tuple(tuple(cells_of_cardinality(tc, i)) for i in range(n + 1))
     return MorseComplex(tc.ideal, basis, tuple(taylor_differential(tc, i) for i in range(1, n + 1)))
+
+
+def reference_morse_differential(tc, matching, family=None):
+    """The Morse complex entry by entry: each column sums ``facet_sign``
+    times ``transfer`` over the facets of its cell, in ascending member
+    order, and each factor is the ``quotient`` of the two lcm labels.  The
+    basis is the empty cell and the groups of ``critical_cells``."""
+    n = tc.n
+    groups = critical_cells(tc, matching, family)
+    basis = ((0,), *(tuple(groups[n - k]) for k in range(1, n + 1)))
+    memo = {}
+    differentials = []
+    for i in range(1, n + 1):
+        rows, cols = basis[i - 1], basis[i]
+        row_index = {c: k for k, c in enumerate(rows)}
+        entries = {}
+        for cidx, sigma in enumerate(cols):
+            acc = {}
+            for j in cell_members(sigma):
+                for crit, weight in transfer(tc, matching, sigma ^ (1 << j), memo).items():
+                    acc[crit] = acc.get(crit, 0) + facet_sign(sigma, j) * weight
+            for crit, weight in acc.items():
+                if weight:
+                    factor = quotient(tc.lcm(sigma), tc.lcm(crit))
+                    entries[(row_index[crit], cidx)] = DifferentialEntry(weight, factor)
+        differentials.append(DifferentialMatrix(rows, cols, entries))
+    return MorseComplex(tc.ideal, basis, tuple(differentials))
 
 
 def sweep_cells(tc, ordered_cells, family_set=None, positions=None):

@@ -20,10 +20,17 @@ from morseideals import (
     morse_differential,
     parse_ideal,
     possible_edges_with_positions,
+    random_squarefree_ideal,
     trimmed_matching,
     validate_matching,
 )
-from morseideals.matching import PossibleEdge, _bridge_pairing, _has_directed_cycle
+from morseideals.matching import (
+    PossibleEdge,
+    _bridge_pairing,
+    _has_directed_cycle,
+    _payload,
+    _sweep,
+)
 from conftest import (
     CUBICS,
     POWER_IDEAL,
@@ -465,3 +472,22 @@ def test_bitset_kernel_equals_the_cell_by_cell_reference(run4, ex56, tri):
                 ideal,
                 order2,
             )
+
+
+def test_family_sweep_ranks_count_the_family_cells(run4):
+    """On a family, the sweep's ranks are the critical cells per cardinality
+    of the trimmed matching, the empty cell included."""
+    rng = random.Random(16)
+    ideals = [run4, cycle_edge_ideal(7), *corpus_ideals()]
+    ideals += [random_squarefree_ideal(seed, 5, 7) for seed in range(10)]
+    for ideal in ideals:
+        tc = build_taylor(ideal)
+        n = ideal.n
+        assert n <= 7
+        family = critical_family(tc, lyubeznik_matching(tc))
+        work = _payload(tc, None, family)
+        for _ in range(3):
+            order = tuple(rng.sample(range(n), n))
+            groups = critical_cells(tc, trimmed_matching(tc, order), family)
+            ranks, _ = _sweep(order, work)
+            assert ranks == (1, *(len(groups[n - k]) for k in range(1, n + 1))), (ideal, order)

@@ -32,6 +32,7 @@ from conftest import (
     load_fixture_ideal,
     naive_verify_complex,
     quotient,
+    reference_morse_differential,
     taylor_chain_complex,
     transfer,
     unchecked_monomial,
@@ -153,6 +154,26 @@ def test_morse_rejects_a_label_that_does_not_divide(run4):
         morse_differential(broken, Matching.from_pairs(()))
 
 
+@pytest.mark.parametrize(
+    "cell, label, kind, pair",
+    [
+        # the label fails only in the first variable's field (w) ...
+        (0b0001, "w^3*y*z", "empty", "0x1 does not divide the lcm of cell 0x3"),
+        (0b1001, "w^5*x*y*z", "lyubeznik", "0x9 does not divide the lcm of cell 0xd"),
+        # ... or only in the last one (z)
+        (0b0001, "y*z^2", "empty", "0x1 does not divide the lcm of cell 0x3"),
+        (0b1001, "w*y*z^3", "lyubeznik", "0x9 does not divide the lcm of cell 0xd"),
+    ],
+)
+def test_morse_rejects_a_label_that_fails_in_one_field(run4, cell, label, kind, pair):
+    tc = build_taylor(run4)
+    matching = lyubeznik_matching(tc) if kind == "lyubeznik" else Matching.from_pairs(())
+    lcms = list(tc.lcms)
+    lcms[cell] = run4.context.monomial(label)
+    with pytest.raises(ValueError, match=f"^lcm of cell {pair}$"):
+        morse_differential(TaylorComplex(run4, lcms), matching)
+
+
 def test_morse_family_closure_checked(run4):
     tc = build_taylor(run4)
     with pytest.raises(ValueError, match="closed"):
@@ -207,14 +228,37 @@ def test_zero_and_single_generator_complexes():
     assert homology_ranks(mc) == [1, 1]
 
 
-def _check_complexes(ideal):
-    """The complexes of every ``check`` kind: bm, lyubeznik, trimmed, empty."""
+def _check_matchings(ideal):
+    """The Taylor complex and the ``(matching, family)`` of every ``check``
+    kind: bm, lyubeznik, trimmed, empty."""
     tc = build_taylor(ideal)
     lyu = lyubeznik_matching(tc)
-    yield morse_differential(tc, bm_matching(tc))
-    yield morse_differential(tc, lyu)
-    yield morse_differential(tc, trimmed_matching(tc, tuple(range(ideal.n))), critical_family(tc, lyu))
-    yield morse_differential(tc, Matching.from_pairs(()))
+    trimmed = trimmed_matching(tc, tuple(range(ideal.n)))
+    empty = Matching.from_pairs(())
+    family = critical_family(tc, lyu)
+    return tc, [(bm_matching(tc), None), (lyu, None), (trimmed, family), (empty, None)]
+
+
+def _check_complexes(ideal):
+    """The complexes of every ``check`` kind: bm, lyubeznik, trimmed, empty."""
+    tc, kinds = _check_matchings(ideal)
+    for matching, family in kinds:
+        yield morse_differential(tc, matching, family)
+
+
+def _assert_equals_the_reference(ideal):
+    """Every ``check`` kind's complex equals the entry-level reference, down
+    to the insertion order of each entry dict."""
+    tc, kinds = _check_matchings(ideal)
+    complexes = []
+    for matching, family in kinds:
+        got = morse_differential(tc, matching, family)
+        want = reference_morse_differential(tc, matching, family)
+        assert got == want, ideal
+        for mine, theirs in zip(got.differentials, want.differentials):
+            assert list(mine.entries.items()) == list(theirs.entries.items()), ideal
+        complexes.append(got)
+    return complexes
 
 
 def _named_ideal(name):
@@ -231,6 +275,29 @@ def _named_ideal(name):
 def test_verify_complex_matches_naive_on_check_complexes(name):
     for mc in _check_complexes(_named_ideal(name)):
         assert verify_complex(mc) == naive_verify_complex(mc) is True
+
+
+@pytest.mark.parametrize(
+    "name", [*(f"C{n}" for n in range(3, 9)), "run4", "tri", "ex56", "POWER_IDEAL"]
+)
+def test_morse_differential_equals_the_entry_reference(name):
+    _assert_equals_the_reference(_named_ideal(name))
+
+
+def test_morse_differential_equals_the_entry_reference_on_the_corpus():
+    for ideal in corpus_ideals(50):
+        _assert_equals_the_reference(ideal)
+
+
+def test_morse_differential_at_the_exponent_bound():
+    m = MAX_EXPONENT
+    ideal = parse_ideal(f"vars: x y z\ngens: x^{m}*y x*z y*z^{m} x^5*y^3\n")
+    factors = set()
+    for mc in _assert_equals_the_reference(ideal):
+        assert verify_complex(mc)
+        for matrix in mc.differentials:
+            factors |= {entry.monomial_factor.exponents for entry in matrix.entries.values()}
+    assert (m, 0, 0) in factors
 
 
 def test_verify_complex_matches_naive_on_the_corpus(corpus):
