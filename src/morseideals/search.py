@@ -19,11 +19,14 @@ same ranks and friendliness; and the walk, which takes children in
 ascending order, yields the accepted orders in stream order, so the orders
 tried are those of an order-by-order scan.
 
-Work is split into contiguous chunks of the lexicographic permutation stream
-and may run on several processes.  Each chunk walks the prefix tree clipped
-to its index range.  Results are merged in chunk order, which makes every
-output independent of the worker count and of the chunk size.  Progress
-(orders tried / total) goes to standard error when requested.
+Both searches run on one driver, which splits the lexicographic stream into
+contiguous chunks; each chunk walks the prefix tree clipped to its index
+range.  The sweep payload is passed to each chunk as a value, and only pool
+workers hold it in a global, so searches side by side or nested never share
+it.  One worker or one chunk runs in this process; otherwise the pool has
+at most one process per chunk.  Results are merged in chunk order, which
+makes every output independent of the worker count and of the chunk size.
+Progress (orders tried / total) goes to standard error when requested.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from .taylor import build_taylor
 
 ORDER_SEARCH_GUARD = 10
 
-# per-process payload installed by the pool initializer, and in pool
-# workers the event that tells them the search has stopped
+# set in pool workers alone: the search payload, and the event that stops them
 _WORK = None
 _STOP = None
 
@@ -98,19 +100,18 @@ def _chunk_size(total: int, workers: int) -> int:
     return max(256, min(20000, total // (workers * 16) or total))
 
 
-def _init_worker(payload, stop=None) -> None:
+def _init_worker(payload, stop) -> None:
     global _WORK, _STOP
     _WORK, _STOP = payload, stop
-    if stop is not None:
-        # a pool worker: Ctrl-C reaches the parent, which stops the search;
-        # a worker killed by it mid-chunk would lose that chunk's result
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # Ctrl-C reaches the parent, which stops the search; a worker killed by
+    # it mid-chunk would lose that chunk's result
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _pool_chunk(task):
     """Run one chunk in a pool worker, unless the search has stopped."""
-    worker, bounds = task
-    return None if _STOP.is_set() else worker(bounds)
+    worker, args = task
+    return None if _STOP.is_set() else worker(_WORK, *args)
 
 
 def _scan(work, start, stop, friendly_only, first_only):
@@ -155,46 +156,36 @@ def _scan(work, start, stop, friendly_only, first_only):
     return hits
 
 
-def _scan_friendly_chunk(bounds: tuple[int, int]) -> list[tuple[int, ...]]:
-    """Permutations in the chunk whose bridge pairing loses no edge."""
-    return [perm for _, perm, _ in _scan(_WORK, *bounds, True, False)]
+def _run_chunks(worker, work, tasks, workers, progress, total, stop_early):
+    """Run ``worker(work, *task)`` for each task in order, in this process
+    or on a pool of at most one process per task; yield (task, result)
+    pairs, where ``task[1]`` ends the task's chunk.
 
-
-def _scan_minimal_chunk(bounds: tuple[int, int]):
-    """First permutation in the chunk whose pairing ranks hit the target."""
-    for index, perm, (ranks, _) in _scan(_WORK, *bounds, False, True):
-        return index, perm, ranks
-    return None
-
-
-def _run_chunks(worker, bounds_list, workers, progress, total, stop_early):
-    """Drive chunks in order; yield (bounds, result) pairs.
-
-    With ``stop_early`` the iteration ends at the first chunk whose result is
-    truthy; later chunks that a worker has already started are discarded and
-    the others are skipped, so the reported outcome only depends on the
-    lexicographic stream.  An exception raised by ``worker``, serially or in
-    a pool worker, is raised here as :class:`SearchWorkerError`, chained
-    from it.
+    With ``stop_early`` the iteration ends at the first chunk whose result
+    is truthy; later chunks that a worker has already started are discarded
+    and the others are skipped, so the reported outcome only depends on the
+    lexicographic stream.  An exception raised by ``worker``, anywhere, is
+    raised here as :class:`SearchWorkerError`, chained from it.
     """
     pool = None
     try:
-        if workers <= 1:
-            results = map(worker, bounds_list)
+        size = min(workers, len(tasks))
+        if size <= 1:
+            results = (worker(work, *task) for task in tasks)
         else:
             import multiprocessing  # here, not at the top: only the pool needs it
 
             stop = multiprocessing.Event()
-            pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(_WORK, stop))
-            results = pool.imap(_pool_chunk, [(worker, bounds) for bounds in bounds_list])
-        for bounds in bounds_list:
+            pool = multiprocessing.Pool(size, initializer=_init_worker, initargs=(work, stop))
+            results = pool.imap(_pool_chunk, [(worker, task) for task in tasks])
+        for task in tasks:
             try:
                 result = next(results)
             except Exception as exc:
                 raise _worker_error(exc) from exc
             if progress:
-                print(f"{bounds[1]}/{total} orders", file=sys.stderr, flush=True)
-            yield bounds, result
+                print(f"{task[1]}/{total} orders", file=sys.stderr, flush=True)
+            yield task, result
             if stop_early and result:
                 return
     finally:
@@ -207,6 +198,27 @@ def _run_chunks(worker, bounds_list, workers, progress, total, stop_early):
             stop.set()
             pool.close()
             pool.join()
+
+
+def _search(ideal, friendly_only, stop_early, workers, force, limit, progress):
+    """``(tc, work, hits, cap)``: the complex of ``ideal``, its sweep payload
+    (with the Betti totals as target unless ``friendly_only``), and the
+    :func:`_scan` hits of the first ``cap = min(n!, limit)`` orders: all of
+    them with ``friendly_only``, else each chunk's first."""
+    _check_at_least("workers", workers, 1)
+    if limit is not None:
+        _check_at_least("limit", limit, 0)
+    _check_guard(ideal.n, force)
+    total = math.factorial(ideal.n)
+    cap = total if limit is None else min(total, limit)
+    tc = build_taylor(ideal)
+    work = _payload(tc, None if friendly_only else tuple(betti_numbers(tc).totals))
+    bounds = _chunk_bounds(cap, _chunk_size(cap, workers))
+    tasks = [(start, stop, friendly_only, not friendly_only) for start, stop in bounds]
+    hits = []
+    for _, found in _run_chunks(_scan, work, tasks, workers, progress, cap, stop_early):
+        hits.extend(found)
+    return tc, work, hits, cap
 
 
 def _relabel(cell: int, perm: tuple[int, ...]) -> int:
@@ -229,19 +241,9 @@ def bridge_friendly_list(
     scan uses, from the scan's own payload, and then relabelled, since
     bridges do not depend on the order.
     """
-    _check_at_least("workers", workers, 1)
-    n = ideal.n
-    _check_guard(n, force)
-    total = math.factorial(n)
-    tc = build_taylor(ideal)
-    work = _payload(tc, None)
-    _init_worker(work)
-    bounds_list = _chunk_bounds(total, _chunk_size(total, workers))
-    hits: list[tuple[int, ...]] = []
-    for _, found in _run_chunks(_scan_friendly_chunk, bounds_list, workers, progress, total, False):
-        hits.extend(found)
+    tc, work, hits, _ = _search(ideal, True, False, workers, force, None, progress)
     out = []
-    for perm in hits:
+    for _, perm, _ in hits:
         pairs = bm_matching(tc, perm, work=work)
         matching = Matching.from_pairs((_relabel(s, perm), _relabel(t, perm)) for s, t in pairs)
         out.append((perm, matching))
@@ -274,28 +276,10 @@ def bridge_minimal_search(
     """
     if mode not in ("first-hit", "exhaustive"):
         raise ValueError(f"unknown search mode {mode!r}")
-    _check_at_least("workers", workers, 1)
-    if limit is not None:
-        _check_at_least("limit", limit, 0)
-    n = ideal.n
-    _check_guard(n, force)
-    total = math.factorial(n)
-    cap = total if limit is None else min(total, limit)
-    tc = build_taylor(ideal)
-    target = tuple(betti_numbers(tc).totals)
-    _init_worker(_payload(tc, target))
-    bounds_list = _chunk_bounds(cap, _chunk_size(cap, workers)) if cap else []
-    stop_early = mode == "first-hit"
-    hit = None
-    scanned = 0
-    for bounds, result in _run_chunks(
-        _scan_minimal_chunk, bounds_list, workers, progress, cap, stop_early
-    ):
-        scanned = bounds[1]
-        if result is not None and hit is None:
-            hit = result
-    if hit is None:
-        return MinimalSearchResult(None, None, scanned, total, mode)
-    index, perm, ranks = hit
-    tried = index + 1 if mode == "first-hit" else scanned
-    return MinimalSearchResult(perm, ranks, tried, total, mode)
+    first_hit = mode == "first-hit"
+    _, _, hits, cap = _search(ideal, False, first_hit, workers, force, limit, progress)
+    total = math.factorial(ideal.n)
+    if not hits:
+        return MinimalSearchResult(None, None, cap, total, mode)
+    index, perm, (ranks, _) = hits[0]
+    return MinimalSearchResult(perm, ranks, index + 1 if first_hit else cap, total, mode)

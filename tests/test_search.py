@@ -4,7 +4,6 @@ import multiprocessing.process
 import random
 import signal
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -195,20 +194,117 @@ def test_searches_reject_bad_workers(tri, workers):
 
 
 def test_worker_counts_do_not_change_results(tri):
+    # C4 and C5 make one chunk each, which runs in this process; C6 (3
+    # chunks) and C7 (20 chunks with two workers) run on a pool
     c4 = cycle_edge_ideal(4)
-    c5 = cycle_edge_ideal(5)
-    base_list = bridge_friendly_list(c5, workers=1)
+    c7 = cycle_edge_ideal(7)
+    for ideal in (cycle_edge_ideal(5), cycle_edge_ideal(6)):
+        base_list = bridge_friendly_list(ideal, workers=1)
+        for workers in (2, 8):
+            same_list = bridge_friendly_list(ideal, workers=workers)
+            assert [(p, m.edges) for p, m in same_list] == [
+                (p, m.edges) for p, m in base_list
+            ]
     base_search = bridge_minimal_search(c4, workers=1)
     for workers in (2, 8):
-        same_list = bridge_friendly_list(c5, workers=workers)
-        assert [(p, m.edges) for p, m in same_list] == [
-            (p, m.edges) for p, m in base_list
-        ]
         same_search = bridge_minimal_search(c4, workers=workers)
         assert (same_search.order, same_search.ranks) == (
             base_search.order,
             base_search.ranks,
         )
+    for mode in ("first-hit", "exhaustive"):
+        base_search = bridge_minimal_search(c7, mode=mode, workers=1)
+        for workers in (2, 8):
+            assert bridge_minimal_search(c7, mode=mode, workers=workers) == base_search
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Process counts of the pools started during the test."""
+    sizes = []
+    pool = multiprocessing.Pool
+
+    def spy(processes, *args, **kwargs):
+        sizes.append(processes)
+        return pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    return sizes
+
+
+def test_no_pool_larger_than_the_work(pools, tri):
+    # the 120 orders of C5 and the 6 of the triangle make one chunk each,
+    # which runs in this process
+    assert bridge_minimal_search(cycle_edge_ideal(5), workers=2).orders_tried == 1
+    assert len(bridge_friendly_list(tri, workers=4)) == 6
+    assert pools == []
+    got = list(_run_chunks(_failing_chunk, None, BOUNDS[:3], 8, False, 3, False))
+    assert got == [((0, 1), 0), ((1, 2), 1), ((2, 3), 2)]
+    assert pools == [3]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", ["first-hit", "exhaustive"])
+def test_search_limits_across_chunks(mode, workers):
+    # the least witness of this ideal is order 736, in the third chunk with
+    # one worker and with two; the limits cut the stream before it, right
+    # after it and past it
+    ideal = random_squarefree_ideal(206, 6, 7)
+    tc = build_taylor(ideal)
+    work = _payload(tc, tuple(betti_numbers(tc).totals))
+    total = math.factorial(7)
+    swept = [(i, p, _sweep(p, work)) for i, p in enumerate(enumerate_orders(7))]
+    witnesses = [(i, p, result[0]) for i, p, result in swept if result is not None]
+    assert witnesses[0][:2] == (736, (1, 0, 2, 5, 6, 3, 4))
+    for limit in (None, 736, 737, 1000):
+        cap = total if limit is None else limit
+        result = bridge_minimal_search(ideal, mode=mode, workers=workers, limit=limit)
+        below = [hit for hit in witnesses if hit[0] < cap]
+        if below:
+            index, perm, ranks = below[0]
+            tried = index + 1 if mode == "first-hit" else cap
+        else:
+            perm, ranks, tried = None, None, cap
+        assert result == search.MinimalSearchResult(perm, ranks, tried, total, mode), limit
+
+
+def _run_first_inside(monkeypatch, inner):
+    """Make the first chunk scanned from now on run ``inner()`` to the end
+    before it scans; returns the list that receives what ``inner`` gave."""
+    scan, got = search._scan, []
+
+    def scan_after_inner(*args):
+        if not got:
+            got.append(None)  # first: the chunks of inner() scan plainly
+            got[0] = inner()
+        return scan(*args)
+
+    monkeypatch.setattr(search, "_scan", scan_after_inner)
+    return got
+
+
+def test_a_search_inside_a_chunk_keeps_each_payload(monkeypatch):
+    # no threads: the second search runs to its end inside the first
+    # search's first chunk, and each must give its own answer
+    c7 = cycle_edge_ideal(7)
+    alone = bridge_minimal_search(c7, mode="exhaustive")
+    got = _run_first_inside(monkeypatch, lambda: bridge_minimal_search(c7, mode="exhaustive"))
+    result = bridge_minimal_search(random_squarefree_ideal(206, 6, 7))
+    assert result.order == (1, 0, 2, 5, 6, 3, 4)
+    assert result.ranks == (1, 7, 12, 8, 2, 0, 0, 0)
+    assert result.orders_tried == 737
+    assert got == [alone]
+
+
+def test_a_search_inside_a_friendly_list_keeps_each_payload(monkeypatch):
+    c6 = cycle_edge_ideal(6)
+    other = random_squarefree_ideal(3, 6, 6)
+    alone = bridge_minimal_search(other)
+    expected = [(p, m.edges) for p, m in bridge_friendly_list(c6)]
+    assert len(expected) == 240
+    got = _run_first_inside(monkeypatch, lambda: bridge_minimal_search(other))
+    assert [(p, m.edges) for p, m in bridge_friendly_list(c6)] == expected
+    assert got == [alone]
 
 
 @pytest.fixture
@@ -236,16 +332,16 @@ def test_pool_search_stops_without_killing_workers(killed):
     assert killed == []
 
 
-def _failing_chunk(bounds):
-    if bounds[0] == 3:
+def _failing_chunk(work, start, stop):
+    if start == 3:
         raise RuntimeError("chunk 3 fails on purpose")
-    return bounds[0]
+    return start
 
 
 _FAILING_LINE = _failing_chunk.__code__.co_firstlineno + 2
 
 
-def _sigint_handler(bounds):
+def _sigint_handler(work, start, stop):
     return signal.getsignal(signal.SIGINT)
 
 
@@ -270,7 +366,8 @@ BOUNDS = [(i, i + 1) for i in range(40)]
 
 
 def test_pool_worker_error_reaches_the_caller(killed):
-    kind, got = _within(60, lambda: list(_run_chunks(_failing_chunk, BOUNDS, 2, False, 40, False)))
+    chunks = _run_chunks(_failing_chunk, None, BOUNDS, 2, False, 40, False)
+    kind, got = _within(60, lambda: list(chunks))
     assert kind == "error" and isinstance(got, SearchWorkerError)
     assert isinstance(got.__cause__, RuntimeError)
     assert str(got.__cause__) == "chunk 3 fails on purpose"
@@ -281,15 +378,15 @@ def test_pool_worker_error_reaches_the_caller(killed):
     assert killed == []
 
 
-def _failing_scan(bounds):
+def _failing_scan(work, start, stop, friendly_only, first_only):
     raise ZeroDivisionError("chunk fails on purpose")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_cli_reports_a_worker_failure_on_one_line(capsys, monkeypatch, killed, workers):
-    monkeypatch.setattr(search, "_scan_minimal_chunk", _failing_scan)
-    run4 = str(Path(__file__).parent / "fixtures" / "run4.ideal")
-    argv = ["minimal-search", "-i", run4, "--workers", workers]
+    # the 5040 orders of C7 make 20 chunks with two workers, which run on a pool
+    monkeypatch.setattr(search, "_scan", _failing_scan)
+    argv = ["minimal-search", "--cycle", "7", "--workers", workers]
     assert _within(60, lambda: main(argv)) == ("value", 1)
     captured = capsys.readouterr()
     line = _failing_scan.__code__.co_firstlineno + 1
@@ -303,7 +400,7 @@ def test_cli_reports_a_worker_failure_on_one_line(capsys, monkeypatch, killed, w
 
 def test_pool_closed_generator_lets_workers_finish(killed):
     def take_two():
-        chunks = _run_chunks(_failing_chunk, BOUNDS, 2, False, 40, False)
+        chunks = _run_chunks(_failing_chunk, None, BOUNDS, 2, False, 40, False)
         first = [next(chunks), next(chunks)]
         chunks.close()
         return first
@@ -313,7 +410,8 @@ def test_pool_closed_generator_lets_workers_finish(killed):
 
 
 def test_pool_workers_leave_ctrl_c_to_the_parent():
-    kind, got = _within(60, lambda: list(_run_chunks(_sigint_handler, BOUNDS[:4], 2, False, 4, False)))
+    chunks = _run_chunks(_sigint_handler, None, BOUNDS[:4], 2, False, 4, False)
+    kind, got = _within(60, lambda: list(chunks))
     assert kind == "value" and {handler for _, handler in got} == {signal.SIG_IGN}
 
 
