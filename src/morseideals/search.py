@@ -221,10 +221,15 @@ def _search(ideal, friendly_only, stop_early, workers, force, limit, progress):
     return tc, work, hits, cap
 
 
-def _relabel(cell: int, perm: tuple[int, ...]) -> int:
-    """``cell`` in the indexing of the ideal reordered by ``perm``, where
-    generator ``perm[p]`` is bit ``p``."""
-    return sum(1 << p for p, g in enumerate(perm) if cell >> g & 1)
+def _relabel(cell: int, position: list[int]) -> int:
+    """``cell`` in the indexing of a reordered ideal, where generator ``g``
+    is bit ``position[g]``; reads the members of ``cell`` alone."""
+    out = 0
+    while cell:
+        low = cell & -cell
+        out |= 1 << position[low.bit_length() - 1]
+        cell ^= low
+    return out
 
 
 def bridge_friendly_list(
@@ -243,9 +248,12 @@ def bridge_friendly_list(
     """
     tc, work, hits, _ = _search(ideal, True, False, workers, force, None, progress)
     out = []
+    position = [0] * ideal.n
     for _, perm, _ in hits:
+        for p, g in enumerate(perm):
+            position[g] = p
         pairs = bm_matching(tc, perm, work=work)
-        matching = Matching.from_pairs((_relabel(s, perm), _relabel(t, perm)) for s, t in pairs)
+        matching = Matching.from_pairs((_relabel(s, position), _relabel(t, position)) for s, t in pairs)
         out.append((perm, matching))
     return out
 

@@ -35,6 +35,13 @@ class TaylorComplex:
     equal lcms exactly when their table entries are the same object.
     Immutable after construction; the tables derived from ``lcms`` are
     built on first use and then shared by every caller.
+
+    :meth:`classes`, :meth:`bridge_table` and :meth:`divisor_masks` rely on
+    ``lcms`` being that interned table, as :func:`build_taylor` makes it:
+    they group cells by the identity of their labels, and the bridges are
+    read off the generators that attain each label's exponents.  A table
+    built by hand with other labels serves only to exercise the divisibility
+    guard of the Morse layer, which reads ``lcms`` alone.
     """
 
     __slots__ = ("ideal", "n", "lcms", "_class_cache", "_bridge_cache", "_divisor_cache")
@@ -53,29 +60,62 @@ class TaylorComplex:
     def classes(self) -> Mapping[Monomial, tuple[int, ...]]:
         """Cells grouped by lcm label, each group ascending (cached, read-only).
 
-        Labels come in the order of their smallest cell.
+        Labels come in the order of their smallest cell.  The cells are
+        grouped by the identity of their interned labels, so no Monomial is
+        hashed per cell.
         """
         if self._class_cache is None:
-            groups: dict[Monomial, list[int]] = {}
-            for cell, label in enumerate(self.lcms):
-                groups.setdefault(label, []).append(cell)
-            self._class_cache = MappingProxyType({k: tuple(v) for k, v in groups.items()})
+            lcms = self.lcms
+            groups: dict[int, list[int]] = {}
+            for cell, key in enumerate(map(id, lcms)):
+                groups.setdefault(key, []).append(cell)
+            self._class_cache = MappingProxyType({lcms[g[0]]: tuple(g) for g in groups.values()})
         return self._class_cache
 
     def bridge_table(self) -> tuple[tuple[int, ...], ...]:
         """Bridges of every cell, indexed by cell mask (cached): the members
-        whose removal keeps the lcm, ascending, found by identity of the
-        interned labels.  Only cells sharing their label have any, and no
-        entry depends on the order, so order searches share one table.  Each
-        entry is a tuple of a list, as one of a generator over-allocates.
+        whose removal keeps the lcm, ascending.  Only cells sharing their
+        label have any, and no entry depends on the order, so order searches
+        share one table.
+
+        Per class of label ``m``: for each variable ``v`` of its support,
+        ``A_v`` masks the generators of the largest cell whose exponent in
+        ``v`` is ``m_v``.  A member of a cell ``c`` is no bridge exactly when
+        it is the only member of ``c`` in some ``A_v``.  A one-generator
+        ``A_v`` lies in every cell of the class, so those are folded into one
+        fixed mask, and a cell costs one AND per remaining ``A_v``.  Equal
+        bridge tuples are shared.
         """
         if self._bridge_cache is None:
-            lcms = self.lcms
-            table: list[tuple[int, ...]] = [()] * len(lcms)
+            # level[v][e]: the generators whose exponent in v is e
+            level: list[dict[int, int]] = [{} for _ in range(self.ideal.context.size)]
+            for j, generator in enumerate(self.ideal.generators):
+                for at, e in zip(level, generator.exponents):
+                    at[e] = at.get(e, 0) | 1 << j
+            table: list[tuple[int, ...]] = [()] * len(self.lcms)
+            memo: dict[int, tuple[int, ...]] = {}
             for label, cells in self.classes().items():
-                if len(cells) > 1:
-                    for c in cells:
-                        table[c] = tuple([i for i in cell_members(c) if lcms[c ^ (1 << i)] is label])
+                if len(cells) == 1:
+                    continue
+                largest = cells[-1]
+                fixed = 0
+                shared = []
+                for mask in {largest & at[m] for at, m in zip(level, label.exponents) if m}:
+                    if mask & (mask - 1):
+                        shared.append(mask)
+                    else:
+                        fixed |= mask
+                for c in cells:
+                    kept = fixed
+                    for mask in shared:
+                        hit = c & mask
+                        if not hit & (hit - 1):
+                            kept |= hit
+                    bridges = c & ~kept
+                    found = memo.get(bridges)
+                    if found is None:
+                        found = memo[bridges] = cell_members(bridges)
+                    table[c] = found
             self._bridge_cache = tuple(table)
         return self._bridge_cache
 
@@ -96,7 +136,15 @@ class TaylorComplex:
 
 
 def build_taylor(ideal: MonomialIdeal, max_generators: int = DEFAULT_MAX_GENERATORS) -> TaylorComplex:
-    """Materialize the full lcm table of the Taylor complex of ``ideal``."""
+    """Materialize the full lcm table of the Taylor complex of ``ideal``.
+
+    Each distinct lcm gets a label index.  The cells whose top generator is
+    ``g`` are the cells below ``1 << g`` with ``g`` added, so a cell's label
+    index is the join of its rest's label index with ``g``.  One dict per
+    generator memoizes those joins; the exponent vector is computed and
+    interned only on a miss, that is once per distinct (label, generator)
+    pair, not once per cell.
+    """
     n = ideal.n
     if n > max_generators:
         raise ValueError(
@@ -105,19 +153,23 @@ def build_taylor(ideal: MonomialIdeal, max_generators: int = DEFAULT_MAX_GENERAT
         )
     context = ideal.context
     one = context.one()
-    interned: dict[tuple[int, ...], Monomial] = {one.exponents: one}
-    lcms = [one] * (1 << n)
-    gens = ideal.generators
-    for cell in range(1, 1 << n):
-        top = cell.bit_length() - 1
-        rest = cell ^ (1 << top)
-        exps = tuple(map(max, lcms[rest].exponents, gens[top].exponents))
-        mono = interned.get(exps)
-        if mono is None:
-            mono = Monomial(context, exps)
-            interned[exps] = mono
-        lcms[cell] = mono
-    return TaylorComplex(ideal, lcms)
+    labels = [one]
+    index_of: dict[tuple[int, ...], int] = {one.exponents: 0}
+    cell_label = [0]  # label index of every cell built so far
+    for top, generator in enumerate(ideal.generators):
+        joins: dict[int, int] = {}
+        gen = generator.exponents
+        for rest in cell_label[: 1 << top]:
+            joined = joins.get(rest)
+            if joined is None:
+                exps = tuple(map(max, labels[rest].exponents, gen))
+                joined = index_of.get(exps)
+                if joined is None:
+                    joined = index_of[exps] = len(labels)
+                    labels.append(Monomial(context, exps))
+                joins[rest] = joined
+            cell_label.append(joined)
+    return TaylorComplex(ideal, [labels[k] for k in cell_label])
 
 
 def facet_sign(cell: int, member: int) -> int:

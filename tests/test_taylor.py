@@ -12,6 +12,7 @@ from morseideals import (
 from morseideals.taylor import facet_sign
 from conftest import (
     CUBICS,
+    POWER_IDEAL,
     cell_of,
     corpus_ideals,
     incidence_sign,
@@ -42,11 +43,17 @@ def test_build_zero_and_single():
     zero = MonomialIdeal(VariableContext(("x",)), ())
     tc = build_taylor(zero)
     assert len(tc.lcms) == 1 and tc.lcm(0).is_one()
+    assert list(tc.classes().items()) == [(tc.lcm(0), (0,))]
+    assert tc.bridge_table() == ((),)
+    assert tc.divisor_masks() == (0,)
 
     ctx = VariableContext(("x", "y"))
     single = MonomialIdeal(ctx, (ctx.monomial("x*y^2"),))
     tc = build_taylor(single)
     assert tc.lcm(0).is_one() and str(tc.lcm(1)) == "x*y^2"
+    assert list(tc.classes().items()) == [(ctx.one(), (0,)), (ctx.monomial("x*y^2"), (1,))]
+    assert tc.bridge_table() == ((), ())
+    assert tc.divisor_masks() == (0, 1)
 
 
 def test_cap_error_names_cap(run4):
@@ -77,13 +84,18 @@ def test_small_cells_never_have_bridges_on_corpus():
 
 
 def test_cached_tables_match_recomputation(run4, ex56):
-    ideals = [cycle_edge_ideal(n) for n in range(3, 9)] + [run4, ex56, *corpus_ideals()]
-    ideals.append(parse_ideal(CUBICS))
+    ideals = [cycle_edge_ideal(n) for n in range(3, 11)] + [run4, ex56, *corpus_ideals()]
+    # m^3 in 3 variables, and the non-squarefree ideal with 77 labels
+    ideals += [parse_ideal(CUBICS), parse_ideal(POWER_IDEAL)]
     for ideal in ideals:
         tc = build_taylor(ideal)
         classes = tc.classes()
         assert {label.exponents: cells for label, cells in classes.items()} == naive_classes(tc)
         assert all(tc.lcm(c) is label for label, cells in classes.items() for c in cells)
+        # labels in the order of their smallest cell, one object per label
+        firsts = [cells[0] for cells in classes.values()]
+        assert firsts == sorted(firsts)
+        assert len({id(m) for m in tc.lcms}) == len(classes)
         table = tc.bridge_table()
         assert table == naive_bridge_table(tc)
         masks = tc.divisor_masks()
@@ -91,6 +103,22 @@ def test_cached_tables_match_recomputation(run4, ex56):
         # built once, then shared
         assert tc.classes() is classes and tc.bridge_table() is table
         assert tc.divisor_masks() is masks
+
+
+def test_bridges_with_single_and_shared_attainers():
+    # in the lcm x^2*y^2*z^2*w of all five generators, x^2 and z^2 have two
+    # attainers each while y^2 and w have one
+    ideal = parse_ideal("vars: x y z w\ngens: x^2*y x^2*z y^2 x*z^2 z^2*w\n")
+    tc = build_taylor(ideal)
+    label = tc.lcm(0b11111)
+    exponents = [g.exponents for g in ideal.generators]
+    attainers = [
+        sum(1 for g in exponents if g[v] == m) for v, m in enumerate(label.exponents) if m
+    ]
+    assert sorted(attainers) == [1, 1, 2, 2]
+    table = tc.bridge_table()
+    assert table == naive_bridge_table(tc)
+    assert table[0b11111] == (0, 1, 3)
 
 
 def test_cached_classes_are_read_only(run4):
