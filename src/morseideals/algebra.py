@@ -11,8 +11,8 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index
-from typing import Iterable, Sequence
+from operator import index, le
+from typing import Iterable
 
 MAX_EXPONENT = 2**31 - 1
 
@@ -71,14 +71,6 @@ class Monomial:
                 raise ValueError(f"exponent {e} exceeds the supported bound {MAX_EXPONENT}")
 
     @cached_property
-    def support_mask(self) -> int:
-        mask = 0
-        for i, e in enumerate(self.exponents):
-            if e:
-                mask |= 1 << i
-        return mask
-
-    @cached_property
     def is_squarefree(self) -> bool:
         return all(e <= 1 for e in self.exponents)
 
@@ -105,51 +97,44 @@ class Monomial:
         return f"Monomial({self})"
 
 
-def _require_same_context(a: Monomial, b: Monomial) -> None:
+def _require_same_context(a: Monomial | MonomialIdeal, b: Monomial) -> None:
     if a.context is not b.context and a.context != b.context:
         raise ValueError(f"variable context mismatch: {a.context.names} vs {b.context.names}")
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
-    """True iff every exponent of ``a`` is at most the matching exponent of ``b``."""
+    """True iff every exponent of ``a`` is at most the matching exponent of
+    ``b``; ValueError if their variable contexts differ."""
     _require_same_context(a, b)
-    if b.is_squarefree:
-        # a | b forces a squarefree with support contained in b's support
-        return a.is_squarefree and not (a.support_mask & ~b.support_mask)
-    return all(x <= y for x, y in zip(a.exponents, b.exponents))
+    return all(map(le, a.exponents, b.exponents))
 
 
-def minimize_generators(monomials: Sequence[Monomial]) -> tuple[tuple[Monomial, ...], bool]:
+def _with_generator(kept: list[Monomial], m: Monomial) -> None:
+    """One minimization step on ``kept``, in place: drop ``m`` if a kept
+    generator divides it (an earlier equal copy does), else evict the kept
+    generators that ``m`` divides and append ``m``."""
+    if any(divides(k, m) for k in kept):
+        return
+    kept[:] = [k for k in kept if not divides(m, k)]
+    kept.append(m)
+
+
+def minimize_generators(monomials: Iterable[Monomial]) -> tuple[tuple[Monomial, ...], bool]:
     """Drop duplicates and any monomial divisible by another one.
 
-    Survivors keep their input order.  Returns the surviving sequence and a
+    One pass: a monomial is dropped if a kept one divides it, and otherwise
+    evicts the kept ones it divides.  So a duplicate keeps its first copy and
+    survivors keep their input order.  Returns the surviving sequence and a
     flag telling whether anything was removed.  The monomial 1 is rejected
-    because it would generate the unit ideal.
+    before any context check because it would generate the unit ideal.
     """
     gens = list(monomials)
+    if any(m.is_one() for m in gens):
+        raise ValueError("the monomial 1 is not allowed as a generator (unit ideal)")
+    kept: list[Monomial] = []
     for m in gens:
-        if m.is_one():
-            raise ValueError("the monomial 1 is not allowed as a generator (unit ideal)")
-    if gens:
-        ctx = gens[0].context
-        for m in gens[1:]:
-            _require_same_context(gens[0], m)
-    keep = []
-    for i, m in enumerate(gens):
-        redundant = False
-        for j, d in enumerate(gens):
-            if i == j:
-                continue
-            if d == m:
-                if j < i:  # duplicate: only the first copy survives
-                    redundant = True
-                    break
-            elif divides(d, m):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(m)
-    return tuple(keep), len(keep) != len(gens)
+        _with_generator(kept, m)
+    return tuple(kept), len(kept) != len(gens)
 
 
 @dataclass(frozen=True)
@@ -162,7 +147,7 @@ class MonomialIdeal:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         for g in self.generators:
-            _require_same_context_ideal(self.context, g)
+            _require_same_context(self, g)
             if g.is_one():
                 raise ValueError("the monomial 1 cannot generate a proper ideal")
         gens = self.generators
@@ -197,11 +182,6 @@ def _permutation(order: Iterable[int], n: int) -> tuple[int, ...]:
     except TypeError:
         pass
     raise ValueError(f"{order} is not a permutation of 0..{n - 1}")
-
-
-def _require_same_context_ideal(ctx: VariableContext, g: Monomial) -> None:
-    if g.context is not ctx and g.context != ctx:
-        raise ValueError("generator context does not match the ideal context")
 
 
 def parse_monomial(text: str, context: VariableContext) -> Monomial:

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .algebra import Monomial, MonomialIdeal, VariableContext, minimize_generators
+from .algebra import Monomial, MonomialIdeal, VariableContext, _with_generator
 
 _MASK64 = (1 << 64) - 1
+_MAX_DRAWS = 200  # draw budget of random_squarefree_ideal
 
 
 @dataclass(frozen=True)
@@ -38,18 +38,19 @@ def parse_graph(text: str) -> SimpleGraph:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("graph file must start with a 'V E' line")
-    vertex_count, edge_count = int(head[0]), int(head[1])
+    try:
+        vertex_count, edge_count = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError("graph file must start with a 'V E' line") from None
     if len(lines) - 1 != edge_count:
         raise ValueError(f"expected {edge_count} edge lines, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"malformed edge line {ln!r}") from None
+        edges.append((u, v))
     return SimpleGraph(vertex_count, tuple(edges))
 
 
@@ -63,13 +64,9 @@ def _edge_ideal(context: VariableContext, pairs) -> MonomialIdeal:
     return MonomialIdeal(context, tuple(gens))
 
 
-def edge_ideal(graph: SimpleGraph, names: Sequence[str] | None = None) -> MonomialIdeal:
-    """One squarefree quadratic generator per edge, in sorted edge order."""
-    if names is None:
-        names = [f"x{i}" for i in range(1, graph.vertex_count + 1)]
-    context = VariableContext(tuple(names))
-    if context.size != graph.vertex_count:
-        raise ValueError("one variable name per vertex required")
+def edge_ideal(graph: SimpleGraph) -> MonomialIdeal:
+    """One generator ``x_u * x_v`` per edge, in sorted edge order; variables ``x1..xV``."""
+    context = VariableContext(tuple(f"x{i}" for i in range(1, graph.vertex_count + 1)))
     return _edge_ideal(context, graph.edges)
 
 
@@ -101,14 +98,13 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-def random_squarefree_ideal(
-    seed: int, num_vars: int, num_gens: int, max_draws: int = 200
-) -> MonomialIdeal:
+def random_squarefree_ideal(seed: int, num_vars: int, num_gens: int) -> MonomialIdeal:
     """Deterministic random squarefree ideal with up to ``num_gens`` generators.
 
     Draws squarefree monomials with uniform support size between 2 and
-    ``num_vars``, minimizing after each draw, until the target count survives
-    or the draw budget runs out (at least one generator always survives).
+    ``num_vars`` and takes one ``minimize_generators`` step per draw, until
+    ``num_gens`` generators are kept or ``_MAX_DRAWS`` draws are spent (at
+    least one generator always survives).
     """
     if not 2 <= num_vars <= 12:
         raise ValueError("num_vars must be between 2 and 12")
@@ -117,7 +113,7 @@ def random_squarefree_ideal(
     context = VariableContext(tuple(f"x{i}" for i in range(1, num_vars + 1)))
     rng = SplitMix64(seed)
     pool: list[Monomial] = []
-    for _ in range(max_draws):
+    for _ in range(_MAX_DRAWS):
         support_size = 2 + rng.below(num_vars - 1)
         indices = list(range(num_vars))
         for j in range(support_size):
@@ -126,9 +122,7 @@ def random_squarefree_ideal(
         exps = [0] * num_vars
         for i in indices[:support_size]:
             exps[i] = 1
-        pool.append(Monomial(context, tuple(exps)))
-        minimized, _ = minimize_generators(pool)
-        pool = list(minimized)
+        _with_generator(pool, Monomial(context, tuple(exps)))
         if len(pool) == num_gens:
             break
     return MonomialIdeal(context, tuple(pool))

@@ -7,7 +7,9 @@ import pytest
 from morseideals import (
     Matching,
     Monomial,
+    MonomialIdeal,
     PossibleEdge,
+    VariableContext,
     cell_members,
     critical_cells,
     critical_family,
@@ -17,6 +19,7 @@ from morseideals import (
     random_squarefree_ideal,
 )
 from morseideals.algebra import _require_same_context
+from morseideals.families import SplitMix64
 from morseideals.homology import _rank_rows
 from morseideals.morse import MorseComplex, _resolve_transfer
 from morseideals.taylor import DifferentialEntry, DifferentialMatrix, facet_sign
@@ -213,6 +216,44 @@ def reference_betti_numbers(tc):
         if entry:
             multigraded[label] = entry
     return tuple(totals), multigraded
+
+
+def naive_minimize(monomials):
+    """The minimal generators of ``monomials`` by their definition: ``m``
+    survives unless an earlier copy equals it or another listed monomial
+    with different exponents divides it; survivors keep input order."""
+    gens = list(monomials)
+    kept = [
+        m
+        for i, m in enumerate(gens)
+        if m not in gens[:i]
+        and not any(
+            d != m and all(x <= y for x, y in zip(d.exponents, m.exponents)) for d in gens
+        )
+    ]
+    return tuple(kept), len(kept) != len(gens)
+
+
+def reference_random_squarefree_ideal(seed, num_vars, num_gens):
+    """``random_squarefree_ideal`` by re-minimizing: append each draw, then
+    minimize the whole pool again with ``naive_minimize``."""
+    context = VariableContext(tuple(f"x{i}" for i in range(1, num_vars + 1)))
+    rng = SplitMix64(seed)
+    pool = []
+    for _ in range(200):
+        support_size = 2 + rng.below(num_vars - 1)
+        indices = list(range(num_vars))
+        for j in range(support_size):
+            k = j + rng.below(num_vars - j)
+            indices[j], indices[k] = indices[k], indices[j]
+        exps = [0] * num_vars
+        for i in indices[:support_size]:
+            exps[i] = 1
+        pool.append(Monomial(context, tuple(exps)))
+        pool = list(naive_minimize(pool)[0])
+        if len(pool) == num_gens:
+            break
+    return MonomialIdeal(context, tuple(pool))
 
 
 def quotient(a, b):
@@ -423,9 +464,6 @@ def naive_verify_complex(mc):
 def monomial_lcm(a, b):
     """Componentwise maximum of the exponent vectors."""
     _require_same_context(a, b)
-    if a.is_squarefree and b.is_squarefree:
-        mask = a.support_mask | b.support_mask
-        return Monomial(a.context, tuple((mask >> i) & 1 for i in range(a.context.size)))
     return Monomial(a.context, tuple(map(max, a.exponents, b.exponents)))
 
 

@@ -12,7 +12,7 @@ from morseideals import (
 )
 from morseideals.algebra import MAX_EXPONENT
 from morseideals.families import SplitMix64
-from conftest import monomial_lcm, quotient
+from conftest import monomial_lcm, naive_minimize, quotient
 
 
 @pytest.fixture
@@ -85,6 +85,43 @@ def test_minimize_rejects_unit():
     ctx = VariableContext(("x",))
     with pytest.raises(ValueError):
         minimize_generators([ctx.one()])
+
+
+def test_minimize_matches_the_definition_on_lists_with_duplicates():
+    rng = SplitMix64(22)
+    ctx = VariableContext(("a", "b", "c"))
+    changed_seen = set()
+    for _ in range(2000):
+        pool = []
+        for _ in range(rng.below(11)):
+            if pool and rng.below(3) == 0:
+                pool.append(pool[rng.below(len(pool))])
+                continue
+            exps = tuple(rng.below(4) for _ in range(3))
+            if any(exps):
+                pool.append(Monomial(ctx, exps))
+        expected = naive_minimize(pool)
+        assert minimize_generators(pool) == expected
+        changed_seen.add(expected[1])
+    assert changed_seen == {False, True}
+
+
+def test_minimize_error_order_and_iterator_input():
+    xy = VariableContext(("x", "y"))
+    uv = VariableContext(("u", "v"))
+    # the unit monomial is rejected even when a context mismatch comes first
+    with pytest.raises(ValueError, match="unit ideal"):
+        minimize_generators([xy.monomial("x"), uv.monomial("u"), xy.one()])
+    with pytest.raises(ValueError, match="variable context mismatch"):
+        minimize_generators([xy.monomial("x*y"), xy.monomial("y"), uv.monomial("u")])
+    gens = (xy.monomial("x*y^2"), xy.monomial("x^2"), xy.monomial("x*y"))
+    assert minimize_generators(iter(gens)) == ((xy.monomial("x^2"), xy.monomial("x*y")), True)
+
+
+def test_ideal_rejects_a_generator_of_another_context():
+    xy = VariableContext(("x", "y"))
+    with pytest.raises(ValueError, match=r"variable context mismatch: \('x', 'y'\) vs \('u', 'v'\)"):
+        MonomialIdeal(xy, (VariableContext(("u", "v")).monomial("u"),))
 
 
 def test_parse_ideal_running_example():

@@ -336,7 +336,21 @@ def test_gen_round_trips(capsys, tmp_path):
 
     code, out = run_cli(capsys, "gen", "random", "42", "5", "4")
     assert code == 0
-    assert parse_ideal(out).n == 4
+    assert out == "vars: x1 x2 x3 x4 x5\ngens: x2*x3*x4 x1*x3 x3*x4*x5 x1*x2*x4*x5\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("4 x\n1 2\n", "error: graph file must start with a 'V E' line"),
+        ("4 1\n1 b\n", "error: malformed edge line '1 b'"),
+    ],
+)
+def test_gen_graph_names_the_bad_line(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    assert main(["gen", "graph", str(path)]) == 1
+    assert capsys.readouterr().err == message + "\n"
 
 
 def test_domain_errors_exit_1(capsys):

@@ -10,6 +10,7 @@ from morseideals import (
     random_squarefree_ideal,
 )
 from morseideals.families import SplitMix64
+from conftest import reference_random_squarefree_ideal
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -71,6 +72,10 @@ def test_parse_graph_fixture():
     assert graph.edges == ((1, 2), (1, 4), (2, 3), (3, 4))
     with pytest.raises(ValueError):
         parse_graph("3 2\n1 2\n")
+    with pytest.raises(ValueError, match="must start with a 'V E' line"):
+        parse_graph("3 x\n1 2\n")
+    with pytest.raises(ValueError, match="malformed edge line '1 b'"):
+        parse_graph("3 1\n1 b\n")
 
 
 def test_splitmix_reference_stream():
@@ -94,6 +99,14 @@ def test_random_ideal_minimal_and_squarefree():
         assert ideal.n >= 1
         for g in ideal.generators:
             assert g.is_squarefree and g.degree() >= 2
+
+
+def test_random_ideal_matches_the_re_minimizing_loop():
+    # the benchmark corpus triples of seeds 0-3, then both size extremes
+    triples = [(s, 4 + s % 5, 3 + s % 5) for s in range(1600)]
+    triples += [(s, 2, 3) for s in range(20)] + [(s, 12, 10) for s in range(20)]
+    for triple in triples:
+        assert random_squarefree_ideal(*triple) == reference_random_squarefree_ideal(*triple)
 
 
 def test_random_ideal_two_variables_saturates():
