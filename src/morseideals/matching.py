@@ -24,7 +24,8 @@ so the critical cells of cardinality k number the k-cells of the payload
 ``|targets[k]|``.  Both target sets are final once level k is swept, since
 lower levels only add targets below k - 1; the minimal search may therefore
 drop an order at the first level whose count differs from the Betti total
-without changing any result.
+without changing any result, and even within that level, once its count
+can no longer reach the total (see :func:`_step`).
 
 :func:`_step` advances the state of a prefix by one position; when a level's
 live set empties, the next level rescans the prefix.  :func:`_sweep` folds
@@ -160,6 +161,13 @@ def _step(state, order, p, work, friendly_only=False, record=None):
     the final counts of the levels above ``k``.  Once level 3 is final,
     ``k`` is 2 and ``ranks`` and ``friendly`` hold for every extension.
     Returns None once the prefix fails; see :func:`_sweep`.
+
+    With a target, level ``k`` must end with ``need`` distinct targets,
+    a number fixed when the level opens.  Every live cell picks one target
+    before the level ends, so the count of distinct targets ends between
+    the count so far and that count plus the live cells.  The first only
+    grows and the second only shrinks, so the prefix fails at the first
+    step that leaves ``need`` outside that range.
     """
     k, live, found, paired, ranks, friendly = state
     _, rows, levels, _, target = work
@@ -181,6 +189,10 @@ def _step(state, order, p, work, friendly_only=False, record=None):
                 if not live:
                     break
         if live:
+            if target is not None:
+                need, have = ranks[k] - paired - target[k], found.bit_count()
+                if have > need or have + live.bit_count() < need:
+                    return None
             return k, live, found, paired, ranks, friendly
         ranks = list(ranks)
         ranks[k] -= paired  # k-cells taken as targets

@@ -27,6 +27,38 @@ it.  One worker or one chunk runs in this process; otherwise the pool has
 at most one process per chunk.  Results are merged in chunk order, which
 makes every output independent of the worker count and of the chunk size.
 Progress (orders tried / total) goes to standard error when requested.
+
+Both searches walk only the orders that no variable symmetry of the ideal
+makes lexicographically smaller.  A permutation ``t`` of the generators
+that a permutation of the variables induces (:func:`_automorphisms`) maps
+an order ``w`` to ``t(w) = (t[w[0]], t[w[1]], ...)``, whose reordered ideal
+is that of ``w`` with its variables renamed.  Renaming keeps the lcm
+lattice, hence the bridges of every cell at every position (the setting of
+Batzies-Welker), so ``t(w)`` has the sweep of ``w``: the same ranks and the
+same friendliness.  The group G of these ``t`` acts freely on the orders
+(``t(w) = w`` fixes every generator), so each orbit holds |G| orders and
+one least.  An order ``w`` is least in its orbit exactly when each
+``w[p]`` is least in its orbit under the elements that fix ``w[:p]``
+pointwise: if ``t(w) < w`` first differs at ``p``, then ``t`` fixes
+``w[:p]`` and maps ``w[p]`` lower, and conversely such a ``t`` makes
+``t(w) < w``.  The walk skips every child ``g`` that an element fixing its
+prefix maps lower (canonical-prefix pruning, McKay, *Isomorph-free
+exhaustive generation*, 1998), so the orders it reaches are exactly the
+least of their orbits, and it accepts them at their stream indices.
+Hence the reduction changes no result:
+
+- the least accepted order ``W*`` of the stream is least in its orbit,
+  whose orders are all accepted with it, so no prefix of ``W*`` is
+  skipped; the chunks before its own accept nothing, reduced or not, and
+  its own chunk accepts nothing before it.  The first hit, its index (the
+  orders tried) and, as chunk bounds do not change, every progress line
+  are those of the unreduced walk;
+- the friendly list expands each accepted order by G and sorts the result,
+  which gives every friendly order once; one matching serves an orbit,
+  since in the reordered indexing its orders have the same bridge pairing.
+
+Past :data:`AUTOMORPHISM_CAP` elements the group is not enumerated and the
+identity alone is used, which is the unreduced walk.
 """
 
 from __future__ import annotations
@@ -38,6 +70,7 @@ import re
 import signal
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebra import MonomialIdeal
 from .homology import betti_numbers
@@ -45,6 +78,7 @@ from .matching import Matching, _payload, _root, _step, bm_matching
 from .taylor import build_taylor
 
 ORDER_SEARCH_GUARD = 10
+AUTOMORPHISM_CAP = 1000
 
 # set in pool workers alone: the search payload, and the event that stops them
 _WORK = None
@@ -114,23 +148,67 @@ def _pool_chunk(task):
     return None if _STOP.is_set() else worker(_WORK, *args)
 
 
-def _scan(work, start, stop, friendly_only, first_only):
+def _automorphisms(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
+    """The generator permutations that a permutation of the variables
+    induces, the identity first; the identity alone once there are more
+    than :data:`AUTOMORPHISM_CAP` of them.
+
+    ``t`` maps generator ``i`` to ``t[i]``.  It is induced exactly when
+    reading each variable's exponent column over the generators through
+    ``t`` (entry ``i`` from generator ``t[i]``) leaves the multiset of
+    columns unchanged; all-zero columns are dropped first.  ``t`` is built
+    position by position, and a partial ``t`` is dropped as soon as the
+    sorted prefixes of its columns differ from those of the original ones.
+    """
+    n = ideal.n
+    columns = [c for c in zip(*(g.exponents for g in ideal.generators)) if any(c)]
+    want = [sorted(c[:p] for c in columns) for p in range(n + 1)]
+    group, image, free = [], [], [True] * n
+
+    def extend(prefixes):
+        # True once the group is past the cap
+        p = len(image)
+        if p == n:
+            group.append(tuple(image))
+            return len(group) > AUTOMORPHISM_CAP
+        for j in range(n):
+            if free[j]:
+                longer = [q + (c[j],) for q, c in zip(prefixes, columns)]
+                if sorted(longer) == want[p + 1]:
+                    free[j] = False
+                    image.append(j)
+                    if extend(longer):
+                        return True
+                    image.pop()
+                    free[j] = True
+        return False
+
+    if extend([()] * len(columns)):
+        return [tuple(range(n))]
+    return group
+
+
+def _scan(work, start, stop, friendly_only, first_only, group=None):
     """Orders ``start .. stop - 1`` of the lexicographic stream that the sweep
     accepts, as ``(index, order, (ranks, friendly))`` in stream order; with
-    ``first_only``, the first of them alone.
+    ``first_only``, the first of them alone.  With a ``group`` of
+    :func:`_automorphisms`, only the orders least in their orbits.
 
     A depth-first walk of the prefix tree, clipped to the range, that keeps
     the sweep state of each prefix (see the module docstring): a failed
-    prefix drops its subtree, and a decided one yields all its orders.
+    prefix drops its subtree, a prefix that an element of the group fixing
+    its own prefix maps lower is skipped, and a decided one whose prefix
+    only the identity fixes yields all its orders.
     """
     n = work[0]
     sizes = [math.factorial(m) for m in range(n + 1)]
     order = list(range(n))  # order[:p] is the prefix being visited
     hits = []
 
-    def visit(state, p, rest, lo):
-        # ``state`` is the sweep of order[:p]; its orders start at index lo
-        if state[0] < 3:
+    def visit(state, p, rest, lo, movers):
+        # ``state`` is the sweep of order[:p]; its orders start at index lo;
+        # ``movers`` are the elements but the identity that fix order[:p]
+        if state[0] < 3 and not movers:
             head, skip, result = tuple(order[:p]), max(start - lo, 0), state[4:]
             tails = itertools.islice(itertools.permutations(rest), skip, stop - lo)
             for index, tail in enumerate(tails, lo + skip):
@@ -143,16 +221,18 @@ def _scan(work, start, stop, friendly_only, first_only):
             sub = lo + i * size
             if sub >= stop:
                 break
-            if sub + size > start:
+            if sub + size > start and not (movers and any(t[g] < g for t in movers)):
                 order[p] = g
-                child = _step(state, order, p, work, friendly_only)
-                if child is not None and visit(child, p + 1, rest[:i] + rest[i + 1 :], sub):
-                    return True
+                child = state if state[0] < 3 else _step(state, order, p, work, friendly_only)
+                if child is not None:
+                    fixing = movers and [t for t in movers if t[g] == g]
+                    if visit(child, p + 1, rest[:i] + rest[i + 1 :], sub, fixing):
+                        return True
         return False
 
     root = _root(work)
     if root is not None:
-        visit(root, 0, list(range(n)), 0)
+        visit(root, 0, list(range(n)), 0, [] if group is None else group[1:])
     return hits
 
 
@@ -201,10 +281,11 @@ def _run_chunks(worker, work, tasks, workers, progress, total, stop_early):
 
 
 def _search(ideal, friendly_only, stop_early, workers, force, limit, progress):
-    """``(tc, work, hits, cap)``: the complex of ``ideal``, its sweep payload
-    (with the Betti totals as target unless ``friendly_only``), and the
-    :func:`_scan` hits of the first ``cap = min(n!, limit)`` orders: all of
-    them with ``friendly_only``, else each chunk's first."""
+    """``(tc, work, group, hits, cap)``: the complex of ``ideal``, its sweep
+    payload (with the Betti totals as target unless ``friendly_only``), its
+    :func:`_automorphisms`, and the :func:`_scan` hits of the first
+    ``cap = min(n!, limit)`` orders under that group: all of them with
+    ``friendly_only``, else each chunk's first."""
     _check_at_least("workers", workers, 1)
     if limit is not None:
         _check_at_least("limit", limit, 0)
@@ -213,12 +294,13 @@ def _search(ideal, friendly_only, stop_early, workers, force, limit, progress):
     cap = total if limit is None else min(total, limit)
     tc = build_taylor(ideal)
     work = _payload(tc, None if friendly_only else tuple(betti_numbers(tc).totals))
+    group = _automorphisms(ideal)
     bounds = _chunk_bounds(cap, _chunk_size(cap, workers))
-    tasks = [(start, stop, friendly_only, not friendly_only) for start, stop in bounds]
+    tasks = [(start, stop, friendly_only, not friendly_only, group) for start, stop in bounds]
     hits = []
     for _, found in _run_chunks(_scan, work, tasks, workers, progress, cap, stop_early):
         hits.extend(found)
-    return tc, work, hits, cap
+    return tc, work, group, hits, cap
 
 
 def _relabel(cell: int, position: list[int]) -> int:
@@ -242,11 +324,13 @@ def bridge_friendly_list(
 
     Returns (permutation, matching) pairs in lexicographic permutation order;
     each matching is the bridge pairing of the reordered ideal, expressed in
-    the reordered indexing.  Every matching is built on the one complex the
-    scan uses, from the scan's own payload, and then relabelled, since
-    bridges do not depend on the order.
+    the reordered indexing.  The scan accepts one order per orbit of the
+    ideal's symmetries, and its matching, the same for the whole orbit in
+    that indexing, is built on the one complex the scan uses, from the
+    scan's own payload, and then relabelled, since bridges do not depend on
+    the order.
     """
-    tc, work, hits, _ = _search(ideal, True, False, workers, force, None, progress)
+    tc, work, group, hits, _ = _search(ideal, True, False, workers, force, None, progress)
     out = []
     position = [0] * ideal.n
     for _, perm, _ in hits:
@@ -254,7 +338,8 @@ def bridge_friendly_list(
             position[g] = p
         pairs = bm_matching(tc, perm, work=work)
         matching = Matching.from_pairs((_relabel(s, position), _relabel(t, position)) for s, t in pairs)
-        out.append((perm, matching))
+        out.extend((tuple(t[g] for g in perm), matching) for t in group)
+    out.sort(key=itemgetter(0))
     return out
 
 
@@ -285,7 +370,7 @@ def bridge_minimal_search(
     if mode not in ("first-hit", "exhaustive"):
         raise ValueError(f"unknown search mode {mode!r}")
     first_hit = mode == "first-hit"
-    _, _, hits, cap = _search(ideal, False, first_hit, workers, force, limit, progress)
+    _, _, _, hits, cap = _search(ideal, False, first_hit, workers, force, limit, progress)
     total = math.factorial(ideal.n)
     if not hits:
         return MinimalSearchResult(None, None, cap, total, mode)

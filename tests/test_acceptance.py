@@ -243,6 +243,16 @@ def test_criterion_8_c11_orders_starting_with_generator_0():
 
 
 @pytest.mark.slow
+def test_criterion_8_c12_exhaustive_row():
+    with criterion(8, "C12 exhaustive search (all 12! orders)"):
+        result = bridge_minimal_search(
+            cycle_edge_ideal(12), mode="exhaustive", workers=WORKERS, force=True
+        )
+        assert (result.order, result.ranks) == (None, None)
+        assert result.orders_tried == result.orders_total == math.factorial(12)
+
+
+@pytest.mark.slow
 def test_criterion_8_c12_check_every_kind(capsys):
     with criterion(8, "C12 check, every kind against the oracle"):
         assert main(["check", "--cycle", "12", "--json"]) == 0

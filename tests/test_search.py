@@ -24,7 +24,13 @@ from morseideals import (
 from morseideals import search
 from morseideals.cli import main
 from morseideals.families import SimpleGraph
-from morseideals.search import SearchWorkerError, _chunk_bounds, _run_chunks, _scan
+from morseideals.search import (
+    SearchWorkerError,
+    _automorphisms,
+    _chunk_bounds,
+    _run_chunks,
+    _scan,
+)
 from morseideals.matching import _payload, _sweep
 from conftest import (
     corpus_ideals,
@@ -76,20 +82,148 @@ def test_scan_lists_the_stream():
         assert [(i, p) for i, p, _ in hits] == list(enumerate(enumerate_orders(ideal.n)))
 
 
+CHUNK_SIZES = (1, 7, 50, 200)
+
+
 def test_chunks_partition_the_stream():
     # each chunk walks the prefix tree clipped to its range; the chunk scans
-    # glued back together must give the scan of the whole stream
+    # glued back together must give the scan of the whole stream, with the
+    # ideal's symmetry group or without it
     for ideal in (cycle_edge_ideal(5), cycle_edge_ideal(6), parse_ideal(NON_SQUAREFREE[1])):
+        total = math.factorial(ideal.n)
+        for work, friendly_only, group in itertools.product(
+            _works(ideal), (False, True), (None, _automorphisms(ideal))
+        ):
+            whole = _scan(work, 0, total, friendly_only, False, group)
+            for chunk in CHUNK_SIZES:
+                bounds = _chunk_bounds(total, chunk)
+                assert bounds[0][0] == 0 and bounds[-1][1] == total
+                glued = [_scan(work, *b, friendly_only, False, group) for b in bounds]
+                assert [hit for hits in glued for hit in hits] == whole
+                firsts = [_scan(work, *b, friendly_only, True, group) for b in bounds]
+                assert next(filter(None, firsts), []) == whole[:1]
+
+
+def _least_in_orbit(perm, group):
+    return perm == min(tuple(t[g] for g in perm) for t in group)
+
+
+def test_reduced_scan_keeps_the_least_order_of_each_orbit():
+    # with the group, the walk accepts exactly the accepted orders that are
+    # least in their orbits, at their stream indices
+    ideals = [cycle_edge_ideal(n) for n in range(3, 7)] + corpus_ideals(20)
+    ideals += [parse_ideal(text) for text in NON_SQUAREFREE + (QUADRICS,)]
+    for ideal in ideals:
+        group = _automorphisms(ideal)
         total = math.factorial(ideal.n)
         for work, friendly_only in itertools.product(_works(ideal), (False, True)):
             whole = _scan(work, 0, total, friendly_only, False)
-            for chunk in (1, 7, 50, 200):
-                bounds = _chunk_bounds(total, chunk)
-                assert bounds[0][0] == 0 and bounds[-1][1] == total
-                glued = [_scan(work, *b, friendly_only, False) for b in bounds]
-                assert [hit for hits in glued for hit in hits] == whole
-                firsts = [_scan(work, *b, friendly_only, True) for b in bounds]
-                assert next(filter(None, firsts), []) == whole[:1]
+            least = [hit for hit in whole if _least_in_orbit(hit[1], group)]
+            assert _scan(work, 0, total, friendly_only, False, group) == least, ideal
+            assert _scan(work, 0, total, friendly_only, True, group) == whole[:1], ideal
+
+
+QUADRICS = "vars: x y z\ngens: x^2 x*y x*z y^2 y*z z^2\n"
+# K_{2,3} with a pendant edge on each degree-3 vertex: no order of its 8!
+# is a BM witness, and its group has 12 elements
+CENSUS_8 = SimpleGraph(7, ((1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 7), (5, 6)))
+K4 = SimpleGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
+SEVEN_VARIABLES = "vars: x1 x2 x3 x4 x5 x6 x7\ngens: x1 x2 x3 x4 x5 x6 x7\n"
+
+
+def _induced(ideal, t):
+    """True iff a permutation of the variables takes generator ``i`` to
+    generator ``t[i]`` for every ``i``.  Variable ``v`` goes to a variable
+    ``u`` whose exponent column, read through ``t``, is that of ``v``."""
+    gens = ideal.generators
+    columns = list(zip(*(g.exponents for g in gens)))
+    free = list(range(len(columns)))
+    image = []
+    for column in columns:
+        u = next((u for u in free if tuple(columns[u][j] for j in t) == column), None)
+        if u is None:
+            return False
+        free.remove(u)
+        image.append(u)
+    for i, g in enumerate(gens):
+        renamed = [0] * len(columns)
+        for v, e in enumerate(g.exponents):
+            renamed[image[v]] = e
+        if tuple(renamed) != gens[t[i]].exponents:
+            return False
+    return True
+
+
+def test_automorphisms_of_cycles():
+    for n in range(3, 13):
+        group = _automorphisms(cycle_edge_ideal(n))
+        assert len(group) == len(set(group)) == 2 * n
+        assert group[0] == tuple(range(n))
+        members = set(group)
+        assert all(tuple(a[b[g]] for g in range(n)) in members for a in group for b in group)
+        assert all(_induced(cycle_edge_ideal(n), t) for t in group)
+
+
+def test_automorphisms_are_every_induced_permutation():
+    # brute force over all orders of the generators
+    ideals = [cycle_edge_ideal(n) for n in range(3, 7)] + corpus_ideals(20)
+    ideals += [edge_ideal(K4), parse_ideal(QUADRICS)] + [parse_ideal(t) for t in NON_SQUAREFREE]
+    for ideal in ideals:
+        group = _automorphisms(ideal)
+        assert group[0] == tuple(range(ideal.n))
+        assert sorted(group) == [t for t in enumerate_orders(ideal.n) if _induced(ideal, t)]
+
+
+def test_automorphism_group_sizes_and_cap(monkeypatch):
+    assert len(_automorphisms(edge_ideal(K4))) == 24
+    assert len(_automorphisms(parse_ideal(QUADRICS))) == 6
+    assert len(_automorphisms(edge_ideal(CENSUS_8))) == 12
+    # S7 has 5,040 elements, past the cap
+    assert _automorphisms(parse_ideal(SEVEN_VARIABLES)) == [tuple(range(7))]
+    monkeypatch.setattr(search, "AUTOMORPHISM_CAP", 11)
+    assert _automorphisms(edge_ideal(CENSUS_8)) == [tuple(range(8))]
+    monkeypatch.setattr(search, "AUTOMORPHISM_CAP", 12)
+    assert len(_automorphisms(edge_ideal(CENSUS_8))) == 12
+
+
+def _searches(ideal, workers, limit):
+    """Both public searches (only the first-hit one under a limit)."""
+    modes = ("first-hit",) if limit else ("first-hit", "exhaustive")
+    found = [bridge_minimal_search(ideal, mode=m, workers=workers, limit=limit) for m in modes]
+    if limit:
+        return found
+    return found, [(p, m.edges) for p, m in bridge_friendly_list(ideal, workers=workers)]
+
+
+def _identity_alone(ideal):
+    return [tuple(range(ideal.n))]
+
+
+def _unreduced(monkeypatch, ideal, limit=None):
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_automorphisms", _identity_alone)
+        return _searches(ideal, 1, limit)
+
+
+def test_reduced_searches_equal_the_unreduced(monkeypatch):
+    cases = [(cycle_edge_ideal(n), None) for n in range(7, 9)]
+    cases += [(edge_ideal(CENSUS_8), None), (parse_ideal(SEVEN_VARIABLES), None)]
+    cases += [(cycle_edge_ideal(n), 50000) for n in (9, 10)]
+    for ideal, limit in cases:
+        want = _unreduced(monkeypatch, ideal, limit)
+        for workers in (1, 2):
+            assert _searches(ideal, workers, limit) == want, (ideal, workers)
+
+
+def test_reduced_searches_equal_the_unreduced_in_every_chunking(monkeypatch):
+    ideals = [cycle_edge_ideal(n) for n in range(3, 7)] + corpus_ideals(20)
+    ideals += [edge_ideal(K4), parse_ideal(QUADRICS)]
+    for ideal in ideals:
+        want = _unreduced(monkeypatch, ideal)
+        # two workers on one chunking alone: each pool costs a start-up
+        for chunk, workers in [(chunk, 1) for chunk in CHUNK_SIZES] + [(7, 2)]:
+            monkeypatch.setattr(search, "_chunk_size", lambda total, workers: chunk)
+            assert _searches(ideal, workers, None) == want, (ideal, chunk, workers)
 
 
 def test_scan_equals_the_stream_scan():
@@ -120,10 +254,13 @@ def test_sweep_records_equal_the_stream_sweep():
             for work in works:
                 for friendly_only in (False, True):
                     got, want = [], []
-                    assert _sweep(perm, work, friendly_only, got) == stream_sweep(
-                        perm, work, friendly_only, want
-                    )
-                    assert got == want, (ideal, perm)
+                    swept = _sweep(perm, work, friendly_only, got)
+                    assert swept == stream_sweep(perm, work, friendly_only, want)
+                    if work[4] is None or swept is not None:
+                        assert got == want, (ideal, perm)
+                    else:
+                        # the level-count bound may reject the order sooner
+                        assert got == want[: len(got)], (ideal, perm)
 
 
 def test_triangle_friendly_catalog(tri):
@@ -378,7 +515,7 @@ def test_pool_worker_error_reaches_the_caller(killed):
     assert killed == []
 
 
-def _failing_scan(work, start, stop, friendly_only, first_only):
+def _failing_scan(work, start, stop, friendly_only, first_only, group):
     raise ZeroDivisionError("chunk fails on purpose")
 
 
