@@ -21,10 +21,11 @@ tried are those of an order-by-order scan.
 
 Both searches run on one driver, which splits the lexicographic stream into
 contiguous chunks; each chunk walks the prefix tree clipped to its index
-range.  The sweep payload is passed to each chunk as a value, and only pool
-workers hold it in a global, so searches side by side or nested never share
-it.  One worker or one chunk runs in this process; otherwise the pool has
-at most one process per chunk.  Results are merged in chunk order, which
+range.  The sweep payload and the symmetry group are passed to each chunk
+as a value, once per pool worker, and only pool workers hold them in a
+global, so searches side by side or nested never share them.  One worker
+or one chunk runs in this process; otherwise the pool has at most one
+process per chunk.  Results are merged in chunk order, which
 makes every output independent of the worker count and of the chunk size.
 Progress (orders tried / total) goes to standard error when requested.
 
@@ -57,8 +58,11 @@ Hence the reduction changes no result:
   which gives every friendly order once; one matching serves an orbit,
   since in the reordered indexing its orders have the same bridge pairing.
 
-Past :data:`AUTOMORPHISM_CAP` elements the group is not enumerated and the
-identity alone is used, which is the unreduced walk.
+Once :func:`_automorphisms` has made :data:`AUTOMORPHISM_BUDGET` candidate
+checks it stops and the identity alone is used, which is the unreduced walk.
+The budget bounds what a search pays for a group it cannot use, such as the
+symmetric group of x1, ..., x7, and still covers the groups of the cycles
+up to C12 (C12 takes 1,464 checks).
 """
 
 from __future__ import annotations
@@ -78,9 +82,10 @@ from .matching import Matching, _payload, _root, _step, bm_matching
 from .taylor import build_taylor
 
 ORDER_SEARCH_GUARD = 10
-AUTOMORPHISM_CAP = 1000
+AUTOMORPHISM_BUDGET = 2000
 
-# set in pool workers alone: the search payload, and the event that stops them
+# set in pool workers alone: the value every chunk of the search gets (the
+# payload and the group), and the event that stops them
 _WORK = None
 _STOP = None
 
@@ -134,9 +139,9 @@ def _chunk_size(total: int, workers: int) -> int:
     return max(256, min(20000, total // (workers * 16) or total))
 
 
-def _init_worker(payload, stop) -> None:
+def _init_worker(work, stop) -> None:
     global _WORK, _STOP
-    _WORK, _STOP = payload, stop
+    _WORK, _STOP = work, stop
     # Ctrl-C reaches the parent, which stops the search; a worker killed by
     # it mid-chunk would lose that chunk's result
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -150,49 +155,59 @@ def _pool_chunk(task):
 
 def _automorphisms(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     """The generator permutations that a permutation of the variables
-    induces, the identity first; the identity alone once there are more
-    than :data:`AUTOMORPHISM_CAP` of them.
+    induces, the identity first; the identity alone once the search for
+    them has made :data:`AUTOMORPHISM_BUDGET` candidate checks.
 
     ``t`` maps generator ``i`` to ``t[i]``.  It is induced exactly when
     reading each variable's exponent column over the generators through
     ``t`` (entry ``i`` from generator ``t[i]``) leaves the multiset of
     columns unchanged; all-zero columns are dropped first.  ``t`` is built
-    position by position, and a partial ``t`` is dropped as soon as the
-    sorted prefixes of its columns differ from those of the original ones.
+    position by position.  ``t[i]`` is only tried among the generators with
+    the signature of ``i``: its exponents, each paired with the sorted
+    column of its variable, which a renaming keeps.  A partial ``t`` is
+    dropped as soon as the sorted prefixes of its columns differ from those
+    of the original ones.
     """
     n = ideal.n
     columns = [c for c in zip(*(g.exponents for g in ideal.generators)) if any(c)]
+    kinds = [sorted(c) for c in columns]
+    signs = [sorted((c[i], k) for c, k in zip(columns, kinds) if c[i]) for i in range(n)]
     want = [sorted(c[:p] for c in columns) for p in range(n + 1)]
     group, image, free = [], [], [True] * n
+    checks = AUTOMORPHISM_BUDGET
 
     def extend(prefixes):
-        # True once the group is past the cap
+        # False once the budget is spent
+        nonlocal checks
         p = len(image)
         if p == n:
             group.append(tuple(image))
-            return len(group) > AUTOMORPHISM_CAP
+            return True
         for j in range(n):
-            if free[j]:
+            if free[j] and signs[j] == signs[p]:
+                checks -= 1
+                if checks < 0:
+                    return False
                 longer = [q + (c[j],) for q, c in zip(prefixes, columns)]
                 if sorted(longer) == want[p + 1]:
                     free[j] = False
                     image.append(j)
-                    if extend(longer):
-                        return True
+                    if not extend(longer):
+                        return False
                     image.pop()
                     free[j] = True
-        return False
+        return True
 
-    if extend([()] * len(columns)):
-        return [tuple(range(n))]
-    return group
+    return group if extend([()] * len(columns)) else [tuple(range(n))]
 
 
-def _scan(work, start, stop, friendly_only, first_only, group=None):
+def _scan(search, start, stop, friendly_only, first_only):
     """Orders ``start .. stop - 1`` of the lexicographic stream that the sweep
     accepts, as ``(index, order, (ranks, friendly))`` in stream order; with
-    ``first_only``, the first of them alone.  With a ``group`` of
-    :func:`_automorphisms`, only the orders least in their orbits.
+    ``first_only``, the first of them alone.  ``search`` is the pair
+    ``(work, group)``, the same for every chunk of a search: the sweep
+    payload, and a group of :func:`_automorphisms`, under which only the
+    orders least in their orbits are accepted, or None for all orders.
 
     A depth-first walk of the prefix tree, clipped to the range, that keeps
     the sweep state of each prefix (see the module docstring): a failed
@@ -200,6 +215,7 @@ def _scan(work, start, stop, friendly_only, first_only, group=None):
     its own prefix maps lower is skipped, and a decided one whose prefix
     only the identity fixes yields all its orders.
     """
+    work, group = search
     n = work[0]
     sizes = [math.factorial(m) for m in range(n + 1)]
     order = list(range(n))  # order[:p] is the prefix being visited
@@ -296,9 +312,10 @@ def _search(ideal, friendly_only, stop_early, workers, force, limit, progress):
     work = _payload(tc, None if friendly_only else tuple(betti_numbers(tc).totals))
     group = _automorphisms(ideal)
     bounds = _chunk_bounds(cap, _chunk_size(cap, workers))
-    tasks = [(start, stop, friendly_only, not friendly_only, group) for start, stop in bounds]
+    tasks = [(start, stop, friendly_only, not friendly_only) for start, stop in bounds]
+    chunks = _run_chunks(_scan, (work, group), tasks, workers, progress, cap, stop_early)
     hits = []
-    for _, found in _run_chunks(_scan, work, tasks, workers, progress, cap, stop_early):
+    for _, found in chunks:
         hits.extend(found)
     return tc, work, group, hits, cap
 

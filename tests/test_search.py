@@ -78,11 +78,8 @@ def test_scan_lists_the_stream():
     ideals = [parse_ideal(text) for text in FEW_GENERATORS]
     for ideal in ideals + [cycle_edge_ideal(n) for n in range(3, 7)]:
         work, _ = _works(ideal)
-        hits = _scan(work, 0, math.factorial(ideal.n), False, False)
+        hits = _scan((work, None), 0, math.factorial(ideal.n), False, False)
         assert [(i, p) for i, p, _ in hits] == list(enumerate(enumerate_orders(ideal.n)))
-
-
-CHUNK_SIZES = (1, 7, 50, 200)
 
 
 def test_chunks_partition_the_stream():
@@ -94,13 +91,13 @@ def test_chunks_partition_the_stream():
         for work, friendly_only, group in itertools.product(
             _works(ideal), (False, True), (None, _automorphisms(ideal))
         ):
-            whole = _scan(work, 0, total, friendly_only, False, group)
-            for chunk in CHUNK_SIZES:
+            whole = _scan((work, group), 0, total, friendly_only, False)
+            for chunk in (1, 7, 50, 200):
                 bounds = _chunk_bounds(total, chunk)
                 assert bounds[0][0] == 0 and bounds[-1][1] == total
-                glued = [_scan(work, *b, friendly_only, False, group) for b in bounds]
+                glued = [_scan((work, group), *b, friendly_only, False) for b in bounds]
                 assert [hit for hits in glued for hit in hits] == whole
-                firsts = [_scan(work, *b, friendly_only, True, group) for b in bounds]
+                firsts = [_scan((work, group), *b, friendly_only, True) for b in bounds]
                 assert next(filter(None, firsts), []) == whole[:1]
 
 
@@ -117,10 +114,15 @@ def test_reduced_scan_keeps_the_least_order_of_each_orbit():
         group = _automorphisms(ideal)
         total = math.factorial(ideal.n)
         for work, friendly_only in itertools.product(_works(ideal), (False, True)):
-            whole = _scan(work, 0, total, friendly_only, False)
+            whole = _scan((work, None), 0, total, friendly_only, False)
             least = [hit for hit in whole if _least_in_orbit(hit[1], group)]
-            assert _scan(work, 0, total, friendly_only, False, group) == least, ideal
-            assert _scan(work, 0, total, friendly_only, True, group) == whole[:1], ideal
+            reduced = _scan((work, group), 0, total, friendly_only, False)
+            assert reduced == least, ideal
+            assert _scan((work, group), 0, total, friendly_only, True) == whole[:1], ideal
+            # the orbits of the reduced hits, as the friendly list expands
+            # them, are every accepted order once
+            orbits = sorted(tuple(t[g] for g in perm) for _, perm, _ in reduced for t in group)
+            assert orbits == [perm for _, perm, _ in whole], ideal
 
 
 QUADRICS = "vars: x y z\ngens: x^2 x*y x*z y^2 y*z z^2\n"
@@ -129,6 +131,12 @@ QUADRICS = "vars: x y z\ngens: x^2 x*y x*z y^2 y*z z^2\n"
 CENSUS_8 = SimpleGraph(7, ((1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 7), (5, 6)))
 K4 = SimpleGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
 SEVEN_VARIABLES = "vars: x1 x2 x3 x4 x5 x6 x7\ngens: x1 x2 x3 x4 x5 x6 x7\n"
+# a perfect matching of 8 edges, listed first, and 2 edges that each join
+# two of them: every order of the matching edges passes the column prefixes
+# up to position 8, and only the last two generators cut the group to 192
+MATCHING_PLUS_2 = SimpleGraph(
+    16, tuple((i, i + 8) for i in range(1, 9)) + ((9, 10), (11, 12))
+)
 
 
 def _induced(ideal, t):
@@ -174,16 +182,22 @@ def test_automorphisms_are_every_induced_permutation():
         assert sorted(group) == [t for t in enumerate_orders(ideal.n) if _induced(ideal, t)]
 
 
-def test_automorphism_group_sizes_and_cap(monkeypatch):
+def test_automorphism_group_sizes_and_budget(monkeypatch):
     assert len(_automorphisms(edge_ideal(K4))) == 24
     assert len(_automorphisms(parse_ideal(QUADRICS))) == 6
     assert len(_automorphisms(edge_ideal(CENSUS_8))) == 12
-    # S7 has 5,040 elements, past the cap
+    # S7 has 5,040 elements, and MATCHING_PLUS_2 takes 2,944 checks
     assert _automorphisms(parse_ideal(SEVEN_VARIABLES)) == [tuple(range(7))]
-    monkeypatch.setattr(search, "AUTOMORPHISM_CAP", 11)
+    assert _automorphisms(edge_ideal(MATCHING_PLUS_2)) == [tuple(range(10))]
+    # the census graph takes 276 checks
+    monkeypatch.setattr(search, "AUTOMORPHISM_BUDGET", 275)
     assert _automorphisms(edge_ideal(CENSUS_8)) == [tuple(range(8))]
-    monkeypatch.setattr(search, "AUTOMORPHISM_CAP", 12)
+    monkeypatch.setattr(search, "AUTOMORPHISM_BUDGET", 276)
     assert len(_automorphisms(edge_ideal(CENSUS_8))) == 12
+    monkeypatch.setattr(search, "AUTOMORPHISM_BUDGET", 2944)
+    group = _automorphisms(edge_ideal(MATCHING_PLUS_2))
+    assert len(group) == 192
+    assert all(_induced(edge_ideal(MATCHING_PLUS_2), t) for t in group)
 
 
 def _searches(ideal, workers, limit):
@@ -206,24 +220,23 @@ def _unreduced(monkeypatch, ideal, limit=None):
 
 
 def test_reduced_searches_equal_the_unreduced(monkeypatch):
+    # the chunkings are checked on _scan itself, above; the group over the
+    # budget falls back to the identity, with the same results
     cases = [(cycle_edge_ideal(n), None) for n in range(7, 9)]
-    cases += [(edge_ideal(CENSUS_8), None), (parse_ideal(SEVEN_VARIABLES), None)]
+    cases += [(edge_ideal(g), None) for g in (CENSUS_8, K4)] + [(parse_ideal(QUADRICS), None)]
     cases += [(cycle_edge_ideal(n), 50000) for n in (9, 10)]
+    cases += [(edge_ideal(MATCHING_PLUS_2), 50000)]
     for ideal, limit in cases:
         want = _unreduced(monkeypatch, ideal, limit)
         for workers in (1, 2):
             assert _searches(ideal, workers, limit) == want, (ideal, workers)
 
 
-def test_reduced_searches_equal_the_unreduced_in_every_chunking(monkeypatch):
-    ideals = [cycle_edge_ideal(n) for n in range(3, 7)] + corpus_ideals(20)
-    ideals += [edge_ideal(K4), parse_ideal(QUADRICS)]
-    for ideal in ideals:
-        want = _unreduced(monkeypatch, ideal)
-        # two workers on one chunking alone: each pool costs a start-up
-        for chunk, workers in [(chunk, 1) for chunk in CHUNK_SIZES] + [(7, 2)]:
-            monkeypatch.setattr(search, "_chunk_size", lambda total, workers: chunk)
-            assert _searches(ideal, workers, None) == want, (ideal, chunk, workers)
+@pytest.mark.slow
+def test_reduced_c9_searches_equal_the_unreduced(monkeypatch):
+    # the C9 exhaustive search and the C9 friendly list
+    ideal = cycle_edge_ideal(9)
+    assert _searches(ideal, 2, None) == _unreduced(monkeypatch, ideal)
 
 
 def test_scan_equals_the_stream_scan():
@@ -239,8 +252,8 @@ def test_scan_equals_the_stream_scan():
             ranges = [sorted(rng.randrange(total + 1) for _ in range(2)) for _ in range(4)]
             for start, stop in [(0, total)] + ranges:
                 within = [hit for hit in stream if start <= hit[0] < stop]
-                assert _scan(work, start, stop, friendly_only, False) == within, ideal
-                assert _scan(work, start, stop, friendly_only, True) == within[:1], ideal
+                assert _scan((work, None), start, stop, friendly_only, False) == within, ideal
+                assert _scan((work, None), start, stop, friendly_only, True) == within[:1], ideal
 
 
 def test_sweep_records_equal_the_stream_sweep():
@@ -515,7 +528,7 @@ def test_pool_worker_error_reaches_the_caller(killed):
     assert killed == []
 
 
-def _failing_scan(work, start, stop, friendly_only, first_only, group):
+def _failing_scan(search, start, stop, friendly_only, first_only):
     raise ZeroDivisionError("chunk fails on purpose")
 
 
