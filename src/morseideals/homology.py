@@ -150,37 +150,23 @@ def _is_cone(label: tuple[int, ...], mask: int, exponents) -> bool:
     return False
 
 
-def sparse_rank(entries) -> int:
-    """Exact rank of a sparse integer matrix given as ``{(row, col): value}``.
-
-    The entries are gathered into one ``{col: value}`` dict per row and
-    ranked by the sparse elimination of :func:`_rank_rows`; no dense block is
-    ever built.
-    """
-    rows: dict = {}
-    for (r, c), value in entries.items():
-        rows.setdefault(r, {})[c] = value
-    return _rank_rows(rows.values())
-
-
 def homology_ranks(mc: MorseComplex) -> list[int]:
     """Per-degree homology dimensions of the complex tensored with the field.
 
     For a complex that resolves R/I these equal the total Betti numbers, no
     matter which matching produced it.  Tensoring keeps the entries whose
-    monomial factor is 1; each boundary matrix is then ranked whole through
-    :func:`sparse_rank`.  It is not split by the lcm labels of the cells:
-    this is a check of the complex, so it must not trust the monomial
-    factors it is checking.
+    monomial factor is 1; they form one sparse ``{col: coefficient}`` row
+    per row of each boundary matrix, ranked whole by :func:`_rank_rows`.
+    The matrix is not split by the lcm labels of the cells: this is a check
+    of the complex, so it must not trust the monomial factors it is
+    checking.
     """
     dims = [len(b) for b in mc.basis]
     boundary_rank = [0] * (len(dims) + 1)
     for i, matrix in enumerate(mc.differentials, start=1):
-        boundary_rank[i] = sparse_rank(
-            {
-                key: entry.coefficient
-                for key, entry in matrix.entries.items()
-                if entry.monomial_factor.is_one()
-            }
-        )
+        rows: dict = {}
+        for (r, c), entry in matrix.entries.items():
+            if entry.monomial_factor.is_one():
+                rows.setdefault(r, {})[c] = entry.coefficient
+        boundary_rank[i] = _rank_rows(rows.values())
     return [dims[i] - boundary_rank[i] - boundary_rank[i + 1] for i in range(len(dims))]

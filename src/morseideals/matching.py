@@ -148,19 +148,20 @@ def _root(work):
     """The sweep state of the empty order; see :func:`_step`."""
     n, _, levels, counts, target = work
     if n >= 3:
-        return n, levels[n], 0, 0, counts, True
+        return n, levels[n], 0, 0, counts
     # no level to sweep: the order is decided before it starts
-    return None if target is not None and target != counts else (2, 0, 0, 0, counts, True)
+    return None if target is not None and target != counts else (2, 0, 0, 0, counts)
 
 
 def _step(state, order, p, work, friendly_only=False, record=None):
     """The sweep state of ``order[:p + 1]``, from that of ``order[:p]``.
 
-    A state is ``(k, live, found, paired, ranks, friendly)``: the live cells
-    and targets of level ``k``, the number of targets of level ``k + 1`` and
-    the final counts of the levels above ``k``.  Once level 3 is final,
-    ``k`` is 2 and ``ranks`` and ``friendly`` hold for every extension.
-    Returns None once the prefix fails; see :func:`_sweep`.
+    A state is ``(k, live, found, paired, ranks)``: the live cells and
+    targets of level ``k``, the number of targets of level ``k + 1`` and the
+    final counts of the levels above ``k``.  Once level 3 is final, ``k`` is
+    2 and ``ranks`` holds for every extension.  Returns None once the prefix
+    fails: with ``friendly_only``, at its first duplicate target; with a
+    target in ``work``, as below.
 
     With a target, level ``k`` must end with ``need`` distinct targets,
     a number fixed when the level opens.  Every live cell picks one target
@@ -169,7 +170,7 @@ def _step(state, order, p, work, friendly_only=False, record=None):
     grows and the second only shrinks, so the prefix fails at the first
     step that leaves ``need`` outside that range.
     """
-    k, live, found, paired, ranks, friendly = state
+    k, live, found, paired, ranks = state
     _, rows, levels, _, target = work
     lo = p
     while True:
@@ -181,10 +182,8 @@ def _step(state, order, p, work, friendly_only=False, record=None):
                 hit >>= 1 << g
                 if record is not None:
                     record.append((g, hit, found))
-                if found & hit:
-                    if friendly_only:
-                        return None
-                    friendly = False
+                if friendly_only and found & hit:
+                    return None
                 found |= hit
                 if not live:
                     break
@@ -193,7 +192,7 @@ def _step(state, order, p, work, friendly_only=False, record=None):
                 need, have = ranks[k] - paired - target[k], found.bit_count()
                 if have > need or have + live.bit_count() < need:
                     return None
-            return k, live, found, paired, ranks, friendly
+            return k, live, found, paired, ranks
         ranks = list(ranks)
         ranks[k] -= paired  # k-cells taken as targets
         paired = found.bit_count()
@@ -206,15 +205,14 @@ def _step(state, order, p, work, friendly_only=False, record=None):
             ranks = tuple(ranks)
             if target is not None and ranks != target:
                 return None
-            return k, 0, 0, 0, ranks, friendly
+            return k, 0, 0, 0, ranks
         live, found, lo = levels[k] & ~found, 0, 0
 
 
 def _sweep(perm, work, friendly_only=False, record=None):
     """Bridge-pair the Taylor cells under one order, folding :func:`_step`.
 
-    Returns ``(ranks, friendly)``: the critical cells per cardinality and
-    whether no possible edge is discarded.  Returns None as soon as the
+    Returns the critical cells per cardinality, or None as soon as the
     order is known to fail: when the payload carries a target and a level's
     count differs from it, or, with ``friendly_only``, at the first
     duplicate target.  Given a ``record`` list, appends
@@ -227,7 +225,7 @@ def _sweep(perm, work, friendly_only=False, record=None):
         if state is None or state[0] < 3:
             break
         state = _step(state, perm, p, work, friendly_only, record)
-    return None if state is None else state[4:]
+    return None if state is None else state[4]
 
 
 def _bridge_pairing(

@@ -15,18 +15,26 @@ bridge.  So the sweep state after a prefix depends on that prefix alone.
 Hence a failure decided within a prefix (a level count that misses the
 Betti total, or a duplicate target when only friendly orders are wanted)
 holds for every extension; once level 3 is final, every extension has the
-same ranks and friendliness; and the walk, which takes children in
+same ranks and is accepted; and the walk, which takes children in
 ascending order, yields the accepted orders in stream order, so the orders
 tried are those of an order-by-order scan.
 
+The payload states the question, and a chunk gives its answers as
+``(index, order, ranks)``.  Without a target, the sweep fails an order at
+its first duplicate target, and a chunk gives every friendly order of its
+range: the friendly list.  With the Betti totals as target, the sweep
+fails an order whose ranks miss them, and a chunk gives its first witness
+alone: the minimal search.
+
 Both searches run on one driver, which splits the lexicographic stream into
-contiguous chunks; each chunk walks the prefix tree clipped to its index
-range.  The sweep payload and the symmetry group are passed to each chunk
-as a value, once per pool worker, and only pool workers hold them in a
-global, so searches side by side or nested never share them.  One worker
-or one chunk runs in this process; otherwise the pool has at most one
-process per chunk.  Results are merged in chunk order, which
-makes every output independent of the worker count and of the chunk size.
+contiguous chunks, each task the bounds ``(start, stop)`` of one; each chunk
+walks the prefix tree clipped to its index range.  The sweep payload and
+the symmetry group are passed to each chunk as a value, once per pool
+worker, and only pool workers hold them in a global, so searches side by
+side or nested never share them.  One worker or one chunk runs in this
+process; otherwise the pool has at most one process per chunk.  Results
+are merged in chunk order, which makes every output independent of the
+worker count and of the chunk size.
 Progress (orders tried / total) goes to standard error when requested.
 
 Both searches walk only the orders that no variable symmetry of the ideal
@@ -35,10 +43,10 @@ that a permutation of the variables induces (:func:`_automorphisms`) maps
 an order ``w`` to ``t(w) = (t[w[0]], t[w[1]], ...)``, whose reordered ideal
 is that of ``w`` with its variables renamed.  Renaming keeps the lcm
 lattice, hence the bridges of every cell at every position (the setting of
-Batzies-Welker), so ``t(w)`` has the sweep of ``w``: the same ranks and the
-same friendliness.  The group G of these ``t`` acts freely on the orders
-(``t(w) = w`` fixes every generator), so each orbit holds |G| orders and
-one least.  An order ``w`` is least in its orbit exactly when each
+Batzies-Welker), so ``t(w)`` has the sweep of ``w``: the same ranks, and
+it is friendly exactly when ``w`` is.  The group G of these ``t`` acts
+freely on the orders (``t(w) = w`` fixes every generator), so each orbit
+holds |G| orders and one least.  An order ``w`` is least in its orbit exactly when each
 ``w[p]`` is least in its orbit under the elements that fix ``w[:p]``
 pointwise: if ``t(w) < w`` first differs at ``p``, then ``t`` fixes
 ``w[:p]`` and maps ``w[p]`` lower, and conversely such a ``t`` makes
@@ -134,8 +142,6 @@ def _chunk_bounds(total: int, chunk: int) -> list[tuple[int, int]]:
 
 
 def _chunk_size(total: int, workers: int) -> int:
-    if total <= 1:
-        return 1
     return max(256, min(20000, total // (workers * 16) or total))
 
 
@@ -201,13 +207,14 @@ def _automorphisms(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     return group if extend([()] * len(columns)) else [tuple(range(n))]
 
 
-def _scan(search, start, stop, friendly_only, first_only):
+def _scan(search, start, stop):
     """Orders ``start .. stop - 1`` of the lexicographic stream that the sweep
-    accepts, as ``(index, order, (ranks, friendly))`` in stream order; with
-    ``first_only``, the first of them alone.  ``search`` is the pair
-    ``(work, group)``, the same for every chunk of a search: the sweep
-    payload, and a group of :func:`_automorphisms`, under which only the
-    orders least in their orbits are accepted, or None for all orders.
+    accepts, as ``(index, order, ranks)`` in stream order.  ``search`` is the
+    pair ``(work, group)``, the same for every chunk of a search: the sweep
+    payload, and the list of :func:`_automorphisms`, identity first, under
+    which only the orders least in their orbits are accepted.  A payload
+    without a target gives every friendly order of the range, one with a
+    target the first witness alone.
 
     A depth-first walk of the prefix tree, clipped to the range, that keeps
     the sweep state of each prefix (see the module docstring): a failed
@@ -216,7 +223,7 @@ def _scan(search, start, stop, friendly_only, first_only):
     only the identity fixes yields all its orders.
     """
     work, group = search
-    n = work[0]
+    n, friendly_only = work[0], work[4] is None
     sizes = [math.factorial(m) for m in range(n + 1)]
     order = list(range(n))  # order[:p] is the prefix being visited
     hits = []
@@ -225,11 +232,11 @@ def _scan(search, start, stop, friendly_only, first_only):
         # ``state`` is the sweep of order[:p]; its orders start at index lo;
         # ``movers`` are the elements but the identity that fix order[:p]
         if state[0] < 3 and not movers:
-            head, skip, result = tuple(order[:p]), max(start - lo, 0), state[4:]
+            head, skip, ranks = tuple(order[:p]), max(start - lo, 0), state[4]
             tails = itertools.islice(itertools.permutations(rest), skip, stop - lo)
             for index, tail in enumerate(tails, lo + skip):
-                hits.append((index, head + tail, result))
-                if first_only:
+                hits.append((index, head + tail, ranks))
+                if not friendly_only:
                     return True
             return False
         size = sizes[len(rest) - 1]
@@ -248,14 +255,16 @@ def _scan(search, start, stop, friendly_only, first_only):
 
     root = _root(work)
     if root is not None:
-        visit(root, 0, list(range(n)), 0, [] if group is None else group[1:])
+        visit(root, 0, list(range(n)), 0, group[1:])
     return hits
 
 
-def _run_chunks(worker, work, tasks, workers, progress, total, stop_early):
+def _run_chunks(worker, work, tasks, workers, progress, stop_early):
     """Run ``worker(work, *task)`` for each task in order, in this process
     or on a pool of at most one process per task; yield (task, result)
-    pairs, where ``task[1]`` ends the task's chunk.
+    pairs, where ``task[1]`` ends the task's chunk.  With ``progress``,
+    each pair is announced on standard error as ``task[1]/end orders``,
+    where ``end`` ends the last chunk.
 
     With ``stop_early`` the iteration ends at the first chunk whose result
     is truthy; later chunks that a worker has already started are discarded
@@ -280,7 +289,7 @@ def _run_chunks(worker, work, tasks, workers, progress, total, stop_early):
             except Exception as exc:
                 raise _worker_error(exc) from exc
             if progress:
-                print(f"{task[1]}/{total} orders", file=sys.stderr, flush=True)
+                print(f"{task[1]}/{tasks[-1][1]} orders", file=sys.stderr, flush=True)
             yield task, result
             if stop_early and result:
                 return
@@ -297,11 +306,12 @@ def _run_chunks(worker, work, tasks, workers, progress, total, stop_early):
 
 
 def _search(ideal, friendly_only, stop_early, workers, force, limit, progress):
-    """``(tc, work, group, hits, cap)``: the complex of ``ideal``, its sweep
-    payload (with the Betti totals as target unless ``friendly_only``), its
-    :func:`_automorphisms`, and the :func:`_scan` hits of the first
-    ``cap = min(n!, limit)`` orders under that group: all of them with
-    ``friendly_only``, else each chunk's first."""
+    """``(tc, work, group, hits, cap, total)``: the complex of ``ideal``, its
+    sweep payload (with the Betti totals as target unless ``friendly_only``),
+    its :func:`_automorphisms`, the :func:`_scan` hits of the first
+    ``cap = min(total, limit)`` of the ``total = n!`` orders under that
+    group: every friendly order with ``friendly_only``, else each chunk's
+    first witness."""
     _check_at_least("workers", workers, 1)
     if limit is not None:
         _check_at_least("limit", limit, 0)
@@ -311,13 +321,12 @@ def _search(ideal, friendly_only, stop_early, workers, force, limit, progress):
     tc = build_taylor(ideal)
     work = _payload(tc, None if friendly_only else tuple(betti_numbers(tc).totals))
     group = _automorphisms(ideal)
-    bounds = _chunk_bounds(cap, _chunk_size(cap, workers))
-    tasks = [(start, stop, friendly_only, not friendly_only) for start, stop in bounds]
-    chunks = _run_chunks(_scan, (work, group), tasks, workers, progress, cap, stop_early)
+    tasks = _chunk_bounds(cap, _chunk_size(cap, workers))
+    chunks = _run_chunks(_scan, (work, group), tasks, workers, progress, stop_early)
     hits = []
     for _, found in chunks:
         hits.extend(found)
-    return tc, work, group, hits, cap
+    return tc, work, group, hits, cap, total
 
 
 def _relabel(cell: int, position: list[int]) -> int:
@@ -347,7 +356,7 @@ def bridge_friendly_list(
     scan's own payload, and then relabelled, since bridges do not depend on
     the order.
     """
-    tc, work, group, hits, _ = _search(ideal, True, False, workers, force, None, progress)
+    tc, work, group, hits, _, _ = _search(ideal, True, False, workers, force, None, progress)
     out = []
     position = [0] * ideal.n
     for _, perm, _ in hits:
@@ -387,9 +396,8 @@ def bridge_minimal_search(
     if mode not in ("first-hit", "exhaustive"):
         raise ValueError(f"unknown search mode {mode!r}")
     first_hit = mode == "first-hit"
-    _, _, _, hits, cap = _search(ideal, False, first_hit, workers, force, limit, progress)
-    total = math.factorial(ideal.n)
+    _, _, _, hits, cap, total = _search(ideal, False, first_hit, workers, force, limit, progress)
     if not hits:
         return MinimalSearchResult(None, None, cap, total, mode)
-    index, perm, (ranks, _) = hits[0]
+    index, perm, ranks = hits[0]
     return MinimalSearchResult(perm, ranks, index + 1 if first_hit else cap, total, mode)

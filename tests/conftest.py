@@ -580,7 +580,6 @@ def stream_sweep(perm, work, friendly_only=False, record=None):
     which share each prefix's state among its extensions."""
     n, rows, levels, counts, target = work
     ranks = list(counts)
-    friendly = True
     below = 0  # targets in level k, picked by the sweep of level k + 1
     paired = 0  # their number
     for k in range(n, 2, -1):
@@ -594,10 +593,8 @@ def stream_sweep(perm, work, friendly_only=False, record=None):
                 hit >>= 1 << g
                 if record is not None:
                     record.append((g, hit, found))
-                if found & hit:
-                    if friendly_only:
-                        return None
-                    friendly = False
+                if friendly_only and found & hit:
+                    return None
                 found |= hit
                 if not live:
                     break
@@ -611,7 +608,7 @@ def stream_sweep(perm, work, friendly_only=False, record=None):
     ranks = tuple(ranks)
     if target is not None and ranks != target:
         return None
-    return ranks, friendly
+    return ranks
 
 
 def resolve_duplicate_targets(edges):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,31 @@ def test_search_progress_goes_to_stderr(capsys):
     assert code == 0
     assert "6/6 orders" in captured.err
     assert "orders" not in captured.out
+    # one line per chunk: its end, against the orders searched
+    c7 = "".join(f"{stop}/5040 orders\n" for stop in range(315, 5041, 315))
+    assert c7.count("\n") == 16
+    for argv, err in (
+        (["minimal-search", "--cycle", "7", "--mode", "exhaustive"], c7),
+        (["minimal-search", "--cycle", "7"], "315/5040 orders\n"),
+        (["friendly-list", "--cycle", "6"], "256/720 orders\n512/720 orders\n720/720 orders\n"),
+    ):
+        assert main(argv + ["--workers", "1"]) == 0
+        assert capsys.readouterr().err == err, argv
+
+
+def test_importing_the_cli_loads_no_pool_or_traceback():
+    # the search imports both on the paths that use them, so no command
+    # pays for them at start-up
+    src = str(Path(cli.__file__).parents[1])
+    code = "import sys, morseideals.cli; print({'multiprocessing', 'traceback'} & {*sys.modules})"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "set()\n"), proc.stderr
 
 
 GOLDEN_PLAIN = {

@@ -23,7 +23,9 @@ from morseideals import (
 )
 from morseideals import homology
 from morseideals.families import SplitMix64
-from morseideals.homology import _rank_rows, sparse_rank
+from morseideals.homology import _rank_rows
+from morseideals.morse import MorseComplex
+from morseideals.taylor import DifferentialEntry, DifferentialMatrix
 from conftest import (
     CUBICS,
     POWER_IDEAL,
@@ -129,7 +131,7 @@ def _shuffled(rng, items):
     return items
 
 
-def test_sparse_rank_scattered_blocks():
+def test_rank_rows_scattered_blocks():
     rng = SplitMix64(7)
     for _ in range(40):
         blocks = []
@@ -142,22 +144,23 @@ def test_sparse_rank_scattered_blocks():
         # block k sits on the next free rows and columns, then both are permuted
         row_of = _shuffled(rng, range(nrows))
         col_of = _shuffled(rng, range(ncols))
-        entries = {}
+        rows = {}
         r0 = c0 = 0
         for block in blocks:
             for i, row in enumerate(block):
                 for j, value in enumerate(row):
-                    entries[(row_of[r0 + i], col_of[c0 + j])] = value
+                    rows.setdefault(row_of[r0 + i], {})[col_of[c0 + j]] = value
             r0 += len(block)
             c0 += len(block[0])
         dense = [[0] * ncols for _ in range(nrows)]
-        for (r, c), value in entries.items():
-            dense[r][c] = value
-        assert sparse_rank(entries) == naive_rank(dense)
-        assert sparse_rank(entries) == sum(naive_rank(b) for b in blocks)
+        for r, row in rows.items():
+            for c, value in row.items():
+                dense[r][c] = value
+        assert _rank_rows(rows.values()) == naive_rank(dense)
+        assert _rank_rows(rows.values()) == sum(naive_rank(b) for b in blocks)
 
 
-def test_sparse_rank_follows_components_not_labels():
+def test_homology_ranks_follow_components_not_labels():
     # columns 0, 1 carry one label and columns 2, 3 another; row 2 links the
     # two groups, so ranking per label (2 + 2) would overcount the true rank
     dense = [
@@ -165,17 +168,28 @@ def test_sparse_rank_follows_components_not_labels():
         [0, 0, 1, 1],
         [0, 1, 1, 0],
     ]
-    entries = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
     by_label = naive_rank([row[:2] for row in dense]) + naive_rank([row[2:] for row in dense])
     assert by_label == 4
-    assert sparse_rank(entries) == naive_rank(dense) == 3
+    assert naive_rank(dense) == 3
+    # the matrix as the one differential of a complex with bases of 3 and 4 cells
+    context = VariableContext(("x",))
+    one = Monomial(context, (0,))
+    entries = {
+        (r, c): DifferentialEntry(v, one)
+        for r, row in enumerate(dense)
+        for c, v in enumerate(row)
+        if v
+    }
+    basis = ((0, 1, 2), (3, 4, 5, 6))
+    mc = MorseComplex(MonomialIdeal(context, ()), basis, (DifferentialMatrix(*basis, entries),))
+    assert homology_ranks(mc) == [3 - 3, 4 - 3]
 
 
-def test_sparse_rank_empty_and_zero_entries():
-    assert sparse_rank({}) == 0
-    assert sparse_rank({(0, 0): 0, (3, 5): 0}) == 0
+def test_rank_rows_empty_and_zero_entries():
+    assert _rank_rows([]) == 0
+    assert _rank_rows([{0: 0}, {5: 0}]) == 0
     # an explicit zero must not tie two blocks together or count as a pivot
-    assert sparse_rank({(0, 0): 2, (0, 1): 0, (1, 1): 0, (1, 2): -1}) == 2
+    assert _rank_rows([{0: 2, 1: 0}, {1: 0, 2: -1}]) == 2
 
 
 def _check_complexes(tc):
@@ -231,8 +245,6 @@ def test_rank_rows_against_rational_oracle():
         ]
         expected = naive_rank(dense) if ncols else 0
         assert _rank_rows(_shuffled(rng, rows)) == expected, dense
-        entries = {(r, c): x for r, row in enumerate(rows) for c, x in row.items()}
-        assert sparse_rank(entries) == expected
 
 
 def test_betti_numbers_match_dense_blocks(run4, ex56):

@@ -489,5 +489,5 @@ def test_family_sweep_ranks_count_the_family_cells(run4):
         for _ in range(3):
             order = tuple(rng.sample(range(n), n))
             groups = critical_cells(tc, trimmed_matching(tc, order), family)
-            ranks, _ = _sweep(order, work)
+            ranks = _sweep(order, work)
             assert ranks == (1, *(len(groups[n - k]) for k in range(1, n + 1))), (ideal, order)

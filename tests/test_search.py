@@ -63,42 +63,50 @@ def _works(ideal):
     return _payload(tc, None), _payload(tc, tuple(betti_numbers(tc).totals))
 
 
-def _stream_hits(work, friendly_only):
-    """``_scan`` over the whole stream, order by order through ``stream_sweep``."""
+def _stream_hits(work):
+    """Every order the sweep accepts, order by order through ``stream_sweep``,
+    as ``(index, order, ranks)``: the friendly orders without a target, the
+    witnesses with one."""
     hits = []
     for index, perm in enumerate(enumerate_orders(work[0])):
-        swept = stream_sweep(perm, work, friendly_only)
+        swept = stream_sweep(perm, work, work[4] is None)
         if swept is not None:
             hits.append((index, perm, swept))
     return hits
 
 
-def test_scan_lists_the_stream():
-    # with no target, every order is accepted, at its index in the stream
-    ideals = [parse_ideal(text) for text in FEW_GENERATORS]
-    for ideal in ideals + [cycle_edge_ideal(n) for n in range(3, 7)]:
-        work, _ = _works(ideal)
-        hits = _scan((work, None), 0, math.factorial(ideal.n), False, False)
-        assert [(i, p) for i, p, _ in hits] == list(enumerate(enumerate_orders(ideal.n)))
+def _scanned(hits, work):
+    """What ``_scan`` gives for a range whose accepted orders are ``hits``:
+    all of them without a target, the first witness alone with one."""
+    return hits if work[4] is None else hits[:1]
+
+
+def _accepted(search, start, stop):
+    """Every order of ``start .. stop - 1`` that ``_scan`` accepts, each
+    scanned as a range of its own."""
+    return [hit for i in range(start, stop) for hit in _scan(search, i, i + 1)]
+
+
+def _identity(ideal):
+    return [tuple(range(ideal.n))]
 
 
 def test_chunks_partition_the_stream():
-    # each chunk walks the prefix tree clipped to its range; the chunk scans
-    # glued back together must give the scan of the whole stream, with the
-    # ideal's symmetry group or without it
+    # each chunk walks the prefix tree clipped to its range, with the
+    # ideal's symmetry group or without it, and gives the orders of its
+    # range that the scan of the whole stream accepts
     for ideal in (cycle_edge_ideal(5), cycle_edge_ideal(6), parse_ideal(NON_SQUAREFREE[1])):
         total = math.factorial(ideal.n)
-        for work, friendly_only, group in itertools.product(
-            _works(ideal), (False, True), (None, _automorphisms(ideal))
-        ):
-            whole = _scan((work, group), 0, total, friendly_only, False)
-            for chunk in (1, 7, 50, 200):
+        groups = (_identity(ideal), _automorphisms(ideal))
+        for work, group in itertools.product(_works(ideal), groups):
+            whole = _accepted((work, group), 0, total)
+            assert _scan((work, group), 0, total) == _scanned(whole, work)
+            for chunk in (7, 50, 200):
                 bounds = _chunk_bounds(total, chunk)
                 assert bounds[0][0] == 0 and bounds[-1][1] == total
-                glued = [_scan((work, group), *b, friendly_only, False) for b in bounds]
-                assert [hit for hits in glued for hit in hits] == whole
-                firsts = [_scan((work, group), *b, friendly_only, True) for b in bounds]
-                assert next(filter(None, firsts), []) == whole[:1]
+                glued = [_scan((work, group), *b) for b in bounds]
+                within = [[hit for hit in whole if a <= hit[0] < b] for a, b in bounds]
+                assert glued == [_scanned(hits, work) for hits in within]
 
 
 def _least_in_orbit(perm, group):
@@ -113,12 +121,13 @@ def test_reduced_scan_keeps_the_least_order_of_each_orbit():
     for ideal in ideals:
         group = _automorphisms(ideal)
         total = math.factorial(ideal.n)
-        for work, friendly_only in itertools.product(_works(ideal), (False, True)):
-            whole = _scan((work, None), 0, total, friendly_only, False)
+        for work in _works(ideal):
+            whole = _accepted((work, _identity(ideal)), 0, total)
             least = [hit for hit in whole if _least_in_orbit(hit[1], group)]
-            reduced = _scan((work, group), 0, total, friendly_only, False)
+            reduced = _accepted((work, group), 0, total)
             assert reduced == least, ideal
-            assert _scan((work, group), 0, total, friendly_only, True) == whole[:1], ideal
+            assert _scan((work, group), 0, total) == _scanned(least, work), ideal
+            assert least[:1] == whole[:1], ideal
             # the orbits of the reduced hits, as the friendly list expands
             # them, are every accepted order once
             orbits = sorted(tuple(t[g] for g in perm) for _, perm, _ in reduced for t in group)
@@ -209,13 +218,9 @@ def _searches(ideal, workers, limit):
     return found, [(p, m.edges) for p, m in bridge_friendly_list(ideal, workers=workers)]
 
 
-def _identity_alone(ideal):
-    return [tuple(range(ideal.n))]
-
-
 def _unreduced(monkeypatch, ideal, limit=None):
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_automorphisms", _identity_alone)
+        patch.setattr(search, "_automorphisms", _identity)
         return _searches(ideal, 1, limit)
 
 
@@ -247,13 +252,17 @@ def test_scan_equals_the_stream_scan():
     assert {ideal.n for ideal in ideals} == set(range(8))
     for ideal in ideals:
         total = math.factorial(ideal.n)
-        for work, friendly_only in itertools.product(_works(ideal), (False, True)):
-            stream = _stream_hits(work, friendly_only)
+        identity = _identity(ideal)
+        for work in _works(ideal):
+            stream = _stream_hits(work)
+            if ideal.n <= 2:
+                # decided before any position: every order, at its stream index
+                assert [(i, p) for i, p, _ in stream] == list(enumerate(enumerate_orders(ideal.n)))
+            assert _accepted((work, identity), 0, total) == stream, ideal
             ranges = [sorted(rng.randrange(total + 1) for _ in range(2)) for _ in range(4)]
             for start, stop in [(0, total)] + ranges:
                 within = [hit for hit in stream if start <= hit[0] < stop]
-                assert _scan((work, None), start, stop, friendly_only, False) == within, ideal
-                assert _scan((work, None), start, stop, friendly_only, True) == within[:1], ideal
+                assert _scan((work, identity), start, stop) == _scanned(within, work), ideal
 
 
 def test_sweep_records_equal_the_stream_sweep():
@@ -388,7 +397,7 @@ def test_no_pool_larger_than_the_work(pools, tri):
     assert bridge_minimal_search(cycle_edge_ideal(5), workers=2).orders_tried == 1
     assert len(bridge_friendly_list(tri, workers=4)) == 6
     assert pools == []
-    got = list(_run_chunks(_failing_chunk, None, BOUNDS[:3], 8, False, 3, False))
+    got = list(_run_chunks(_failing_chunk, None, BOUNDS[:3], 8, False, False))
     assert got == [((0, 1), 0), ((1, 2), 1), ((2, 3), 2)]
     assert pools == [3]
 
@@ -404,7 +413,7 @@ def test_search_limits_across_chunks(mode, workers):
     work = _payload(tc, tuple(betti_numbers(tc).totals))
     total = math.factorial(7)
     swept = [(i, p, _sweep(p, work)) for i, p in enumerate(enumerate_orders(7))]
-    witnesses = [(i, p, result[0]) for i, p, result in swept if result is not None]
+    witnesses = [hit for hit in swept if hit[2] is not None]
     assert witnesses[0][:2] == (736, (1, 0, 2, 5, 6, 3, 4))
     for limit in (None, 736, 737, 1000):
         cap = total if limit is None else limit
@@ -516,7 +525,7 @@ BOUNDS = [(i, i + 1) for i in range(40)]
 
 
 def test_pool_worker_error_reaches_the_caller(killed):
-    chunks = _run_chunks(_failing_chunk, None, BOUNDS, 2, False, 40, False)
+    chunks = _run_chunks(_failing_chunk, None, BOUNDS, 2, False, False)
     kind, got = _within(60, lambda: list(chunks))
     assert kind == "error" and isinstance(got, SearchWorkerError)
     assert isinstance(got.__cause__, RuntimeError)
@@ -528,7 +537,7 @@ def test_pool_worker_error_reaches_the_caller(killed):
     assert killed == []
 
 
-def _failing_scan(search, start, stop, friendly_only, first_only):
+def _failing_scan(search, start, stop):
     raise ZeroDivisionError("chunk fails on purpose")
 
 
@@ -550,7 +559,7 @@ def test_cli_reports_a_worker_failure_on_one_line(capsys, monkeypatch, killed, w
 
 def test_pool_closed_generator_lets_workers_finish(killed):
     def take_two():
-        chunks = _run_chunks(_failing_chunk, None, BOUNDS, 2, False, 40, False)
+        chunks = _run_chunks(_failing_chunk, None, BOUNDS, 2, False, False)
         first = [next(chunks), next(chunks)]
         chunks.close()
         return first
@@ -560,7 +569,7 @@ def test_pool_closed_generator_lets_workers_finish(killed):
 
 
 def test_pool_workers_leave_ctrl_c_to_the_parent():
-    chunks = _run_chunks(_sigint_handler, None, BOUNDS[:4], 2, False, 4, False)
+    chunks = _run_chunks(_sigint_handler, None, BOUNDS[:4], 2, False, False)
     kind, got = _within(60, lambda: list(chunks))
     assert kind == "value" and {handler for _, handler in got} == {signal.SIG_IGN}
 
@@ -647,7 +656,7 @@ def test_sweep_agrees_with_the_public_path(tri, run4):
         public = {}
         for perm in orders:
             ranks, friendly = _bm_ranks(ideal, perm)
-            assert _sweep(perm, work) == (ranks, friendly), (ideal, perm)
+            assert _sweep(perm, work) == ranks, (ideal, perm)
             assert (_sweep(perm, work, friendly_only=True) is not None) == friendly
             public[perm] = ranks
         ranks_of = public.__getitem__
