@@ -11,13 +11,16 @@ one memo per complex, shared by every facet (:func:`_resolve_transfer`);
 a critical or source facet needs no walk, so a column adds its sign or
 nothing directly.
 
-Each entry's factor is the quotient of two lcm labels.  The distinct labels
-of the critical cells are packed into one int each: variable ``v`` gets a
-field as wide as its largest exponent among them, plus one guard bit on
-top.  Setting every guard bit of the upper label and subtracting the lower
-one gives the packed quotient; a field whose exponent would be negative
-borrows its own guard bit and no other, so the quotient exists exactly when
-every guard bit survives.  Entries are shared per (quotient, weight).
+Each entry's factor is the quotient of two lcm labels.  The Taylor complex
+packs each distinct label into one int, once for all its Morse complexes
+(:meth:`~morseideals.taylor.TaylorComplex.packed_labels`): variable ``v``
+gets a field as wide as its largest exponent, plus one guard bit on top.
+Setting every guard bit of the upper label and subtracting the lower one
+gives the packed quotient; a field whose exponent would be negative borrows
+its own guard bit and no other, so the quotient exists exactly when every
+guard bit survives.  Entries are shared per (quotient, weight) by every
+Morse complex of one Taylor complex; a valid quotient keeps every guard
+bit, so no shared entry hides a label that does not divide.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ def morse_differential(
     dropped.  A quotient whose exponent difference has a negative entry
     raises ValueError naming both cells.  Quotients are taken on the packed
     labels of the module docstring, and every (quotient, weight) pair gets
-    one shared, immutable entry.
+    one immutable entry, shared by every complex of ``tc``.
     """
     report = validate_matching(tc, matching)
     if not report.all_ok:
@@ -146,17 +149,9 @@ def morse_differential(
     source_cells = matching.source_cells
     lcms = tc.lcms
     context = tc.ideal.context
-    # pack the distinct labels of the critical cells, one guarded field each
-    labels = {id(lcms[c]): lcms[c].exponents for b in basis for c in b}
-    fields, shift, guards = [], 0, 0
-    for column in zip(*labels.values()):
-        width = max(column).bit_length()
-        fields.append((shift, (1 << width) - 1))
-        guards |= 1 << (shift + width)
-        shift += width + 1
-    code = {key: sum(e << s for e, (s, _) in zip(exps, fields)) for key, exps in labels.items()}
+    fields, guards, code = tc.packed_labels()
     packed = {c: code[id(lcms[c])] for b in basis for c in b}
-    entry_of: dict[tuple[int, int], DifferentialEntry] = {}  # shared per (quotient, weight)
+    entry_of = tc._entries  # (quotient, weight) -> entry, shared by every complex of tc
     memo: dict = {}
     differentials = []
     for i in range(1, n + 1):
@@ -224,7 +219,8 @@ def verify_complex(mc: MorseComplex) -> bool:
     multidegree of their product, negative exponents included.  Row indices
     sit above the exponent fields and column indices above the rows, so
     one addition gives the key of a product.  A factor whose exponent count
-    differs from the ideal's variable count raises ValueError.
+    differs from the ideal's variable count raises ValueError, and so does a
+    row or column index outside its basis.
     """
     differentials = mc.differentials
     size = mc.ideal.context.size
@@ -256,12 +252,14 @@ def verify_complex(mc: MorseComplex) -> bool:
     for matrix in differentials:
         if low_by_mid is not None and low_cols != matrix.rows:
             raise AssertionError("differential bases are misaligned")
-        num_rows = len(matrix.rows)
+        num_rows, num_cols = len(matrix.rows), len(matrix.cols)
         by_col: dict[int, list] = {}
         high = []
         for (r, c), entry in matrix.entries.items():
             if not 0 <= r < num_rows:
                 raise ValueError(f"row index {r} out of range for {num_rows} rows")
+            if not 0 <= c < num_cols:
+                raise ValueError(f"column index {c} out of range for {num_cols} columns")
             coefficient = entry.coefficient
             factor = packed[entry.monomial_factor.exponents]
             by_col.setdefault(c, []).append((factor + (r << row_shift), coefficient))

@@ -172,13 +172,20 @@ def _automorphisms(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     the signature of ``i``: its exponents, each paired with the sorted
     column of its variable, which a renaming keeps.  A partial ``t`` is
     dropped as soon as the sorted prefixes of its columns differ from those
-    of the original ones.
+    of the original ones, as sorted ints: ``step`` interns each original
+    prefix by (id of its head, last entry), and any other prefix fails.
     """
     n = ideal.n
     columns = [c for c in zip(*(g.exponents for g in ideal.generators)) if any(c)]
     kinds = [sorted(c) for c in columns]
     signs = [sorted((c[i], k) for c, k in zip(columns, kinds) if c[i]) for i in range(n)]
-    want = [sorted(c[:p] for c in columns) for p in range(n + 1)]
+    peers = [[j for j in range(n) if signs[j] == sign] for sign in signs]
+    step: dict[tuple[int, int], int] = {}
+    ids = [[0] * len(columns)]  # ids[p][k]: the id of columns[k][:p]
+    for p in range(n):
+        ids.append([step.setdefault((q, c[p]), len(step) + 1) for q, c in zip(ids[p], columns)])
+    want = [sorted(row) for row in ids]
+    rows = [tuple(c[j] for c in columns) for j in range(n)]  # generator j's entries
     group, image, free = [], [], [True] * n
     checks = AUTOMORPHISM_BUDGET
 
@@ -189,13 +196,13 @@ def _automorphisms(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
         if p == n:
             group.append(tuple(image))
             return True
-        for j in range(n):
-            if free[j] and signs[j] == signs[p]:
+        for j in peers[p]:
+            if free[j]:
                 checks -= 1
                 if checks < 0:
                     return False
-                longer = [q + (c[j],) for q, c in zip(prefixes, columns)]
-                if sorted(longer) == want[p + 1]:
+                longer = list(map(step.get, zip(prefixes, rows[j])))
+                if None not in longer and sorted(longer) == want[p + 1]:
                     free[j] = False
                     image.append(j)
                     if not extend(longer):
@@ -204,7 +211,7 @@ def _automorphisms(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
                     free[j] = True
         return True
 
-    return group if extend([()] * len(columns)) else [tuple(range(n))]
+    return group if extend(ids[0]) else [tuple(range(n))]
 
 
 def _scan(search, start, stop):

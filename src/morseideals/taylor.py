@@ -36,15 +36,18 @@ class TaylorComplex:
     Immutable after construction; the tables derived from ``lcms`` are
     built on first use and then shared by every caller.
 
-    :meth:`classes`, :meth:`bridge_table` and :meth:`divisor_masks` rely on
-    ``lcms`` being that interned table, as :func:`build_taylor` makes it:
-    they group cells by the identity of their labels, and the bridges are
-    read off the generators that attain each label's exponents.  A table
-    built by hand with other labels serves only to exercise the divisibility
-    guard of the Morse layer, which reads ``lcms`` alone.
+    :meth:`classes`, :meth:`bridge_table`, :meth:`divisor_masks` and
+    :meth:`packed_labels` rely on ``lcms`` being that interned table, as
+    :func:`build_taylor` makes it: they group cells by the identity of their
+    labels, and the bridges are read off the generators that attain each
+    label's exponents.  A table built by hand with other labels serves only
+    to exercise the divisibility guard of the Morse layer.  The Morse
+    complexes of one Taylor complex share its private memo ``_entries`` of
+    differential entries, keyed by (packed quotient, weight).
     """
 
-    __slots__ = ("ideal", "n", "lcms", "_class_cache", "_bridge_cache", "_divisor_cache")
+    __slots__ = ("ideal", "n", "lcms", "_class_cache", "_bridge_cache", "_divisor_cache",
+                 "_label_cache", "_entries")
 
     def __init__(self, ideal: MonomialIdeal, lcms: list[Monomial]):
         self.ideal = ideal
@@ -53,6 +56,8 @@ class TaylorComplex:
         self._class_cache = None
         self._bridge_cache = None
         self._divisor_cache = None
+        self._label_cache = None
+        self._entries = {}
 
     def lcm(self, cell: int) -> Monomial:
         return self.lcms[cell]
@@ -133,6 +138,24 @@ class TaylorComplex:
                     table[c] = cells[-1]
             self._divisor_cache = tuple(table)
         return self._divisor_cache
+
+    def packed_labels(self) -> tuple[tuple[tuple[int, int], ...], int, Mapping[int, int]]:
+        """``(fields, guards, code)``, read off :meth:`classes` (cached):
+        variable ``v`` gets the bit field ``fields[v] = (shift, mask)``, as
+        wide as its largest exponent, with one guard bit on top; ``guards``
+        masks the guard bits, and ``code[id(label)]`` (read-only) packs each
+        distinct label into one int."""
+        if self._label_cache is None:
+            labels = self.classes()
+            fields, shift, guards = [], 0, 0
+            for column in zip(*(label.exponents for label in labels)):
+                width = max(column).bit_length()
+                fields.append((shift, (1 << width) - 1))
+                guards |= 1 << (shift + width)
+                shift += width + 1
+            code = {id(m): sum(e << s for e, (s, _) in zip(m.exponents, fields)) for m in labels}
+            self._label_cache = (tuple(fields), guards, MappingProxyType(code))
+        return self._label_cache
 
 
 def build_taylor(ideal: MonomialIdeal, max_generators: int = DEFAULT_MAX_GENERATORS) -> TaylorComplex:

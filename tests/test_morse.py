@@ -174,6 +174,24 @@ def test_morse_rejects_a_label_that_fails_in_one_field(run4, cell, label, kind, 
         morse_differential(TaylorComplex(run4, lcms), matching)
 
 
+def test_a_warmed_entry_memo_still_rejects_a_label_that_does_not_divide(run4):
+    # the cells without generator 0 (or 3) avoid the doctored label, so the
+    # first complex succeeds and fills the memo that the second one reads
+    cases = [(0b0001, "w^3*y*z", "empty", "0x1 does not divide the lcm of cell 0x3", 0)]
+    cases += [(0b1001, "w^5*x*y*z", "lyubeznik", "0x9 does not divide the lcm of cell 0xd", 3)]
+    for cell, label, kind, pair, avoided in cases:
+        tc = build_taylor(run4)
+        matching = lyubeznik_matching(tc) if kind == "lyubeznik" else Matching.from_pairs(())
+        lcms = list(tc.lcms)
+        lcms[cell] = run4.context.monomial(label)
+        broken = TaylorComplex(run4, lcms)
+        family = [c for c in range(16) if not c >> avoided & 1]
+        warm = morse_differential(broken, Matching.from_pairs(()), family)
+        assert warm.differentials[0].entries and broken._entries
+        with pytest.raises(ValueError, match=f"^lcm of cell {pair}$"):
+            morse_differential(broken, matching)
+
+
 def test_morse_family_closure_checked(run4):
     tc = build_taylor(run4)
     with pytest.raises(ValueError, match="closed"):
@@ -287,6 +305,48 @@ def test_morse_differential_equals_the_entry_reference(name):
 def test_morse_differential_equals_the_entry_reference_on_the_corpus():
     for ideal in corpus_ideals(50):
         _assert_equals_the_reference(ideal)
+
+
+def _assert_one_taylor_complex_equals_fresh_ones(ideal):
+    """The ``check`` kinds built on one Taylor complex, in the ``check``
+    order and in reverse, equal each kind built on a fresh one, down to the
+    insertion order of each entry dict."""
+    _, kinds = _check_matchings(ideal)
+    fresh = [morse_differential(build_taylor(ideal), m, f) for m, f in kinds]
+    for order in (kinds, kinds[::-1]):
+        tc = build_taylor(ideal)
+        shared = [morse_differential(tc, m, f) for m, f in order]
+        if order is not kinds:
+            shared.reverse()
+        assert shared == fresh, ideal
+        for mine, theirs in zip(shared, fresh):
+            for a, b in zip(mine.differentials, theirs.differentials):
+                assert list(a.entries.items()) == list(b.entries.items()), ideal
+
+
+@pytest.mark.parametrize(
+    "name", [*(f"C{n}" for n in range(3, 9)), "run4", "ex56", "POWER_IDEAL"]
+)
+def test_complexes_of_one_taylor_complex_equal_fresh_ones(name):
+    _assert_one_taylor_complex_equals_fresh_ones(_named_ideal(name))
+
+
+def test_complexes_of_one_taylor_complex_equal_fresh_ones_on_the_corpus(corpus):
+    for ideal in corpus:
+        _assert_one_taylor_complex_equals_fresh_ones(ideal)
+
+
+def test_complexes_of_one_taylor_complex_share_their_entries():
+    tc, kinds = _check_matchings(cycle_edge_ideal(6))
+    seen = {}
+    for matching, family in kinds:
+        for matrix in morse_differential(tc, matching, family).differentials:
+            for entry in matrix.entries.values():
+                key = (entry.coefficient, entry.monomial_factor)
+                assert seen.setdefault(key, entry) is entry
+    # every entry of the memo is met, with factors of degree 0 and 1 and weights of both signs
+    assert len(seen) == len(tc._entries)
+    assert {(c > 0, f.degree()) for c, f in seen} >= {(True, 0), (False, 1)}
 
 
 def test_morse_differential_at_the_exponent_bound():
@@ -456,6 +516,20 @@ def test_verify_complex_keeps_rows_and_columns_apart():
     for low, high in cases:
         mc = _hand_complex(low, high)
         assert verify_complex(mc) == naive_verify_complex(mc) is False, (low, high)
+
+
+def test_verify_complex_rejects_a_column_index_out_of_range(run4):
+    mc = morse_differential(build_taylor(run4), Matching.from_pairs(()))
+    assert verify_complex(mc)
+    low = mc.differentials[0]
+    factor = run4.context.monomial("w")
+    for column in (4, 99, -1):
+        entries = {**low.entries, (0, column): DifferentialEntry(5, factor)}
+        broken = MorseComplex(
+            mc.ideal, mc.basis, (DifferentialMatrix(low.rows, low.cols, entries), *mc.differentials[1:])
+        )
+        with pytest.raises(ValueError, match=f"^column index {column} out of range for 4 columns$"):
+            verify_complex(broken)
 
 
 def test_verify_complex_rejects_a_row_index_out_of_range():

@@ -100,9 +100,18 @@ def test_cached_tables_match_recomputation(run4, ex56):
         assert table == naive_bridge_table(tc)
         masks = tc.divisor_masks()
         assert masks == naive_divisor_masks(tc)
+        labels = tc.packed_labels()
+        fields, guards, code = labels
+        assert code.keys() == {id(label) for label in classes}
+        for label in classes:
+            assert tuple(code[id(label)] >> s & mask for s, mask in fields) == label.exponents
+            assert code[id(label)] & guards == 0
+        widths = [max(m.exponents[v] for m in classes).bit_length() for v in range(len(fields))]
+        assert [mask for _, mask in fields] == [(1 << w) - 1 for w in widths]
+        assert guards == sum(1 << (s + w) for (s, _), w in zip(fields, widths))
         # built once, then shared
         assert tc.classes() is classes and tc.bridge_table() is table
-        assert tc.divisor_masks() is masks
+        assert tc.divisor_masks() is masks and tc.packed_labels() is labels
 
 
 def test_bridges_with_single_and_shared_attainers():
@@ -133,6 +142,8 @@ def test_cached_classes_are_read_only(run4):
         tc.bridge_table()[0b1111] = ()
     with pytest.raises(TypeError):
         tc.divisor_masks()[0b1111] = 0
+    with pytest.raises(TypeError):
+        tc.packed_labels()[2][id(label)] = 0
 
 
 def test_smallest_bridge(run4):
