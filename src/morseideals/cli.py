@@ -48,8 +48,6 @@ def edge_text(ideal: MonomialIdeal, edge: tuple[int, int]) -> str:
 
 
 def group_text(ideal: MonomialIdeal, cells: list[int]) -> str:
-    if not cells:
-        return "{}"
     return "{" + ", ".join(cell_text(ideal, c) for c in cells) + "}"
 
 
@@ -205,22 +203,16 @@ def _cmd_friendly(args) -> int:
 def _cmd_friendly_list(args) -> int:
     ideal = _load_ideal(args)
     pairs = bridge_friendly_list(ideal, workers=args.workers, force=args.force, progress=True)
+    pairs = [(ideal.reordered(perm), matching) for perm, matching in pairs]
     if args.json:
-        out = []
-        for perm, matching in pairs:
-            reordered = ideal.reordered(perm)
-            out.append(
-                {
-                    "order": list(reordered.generator_strings),
-                    "matching": _matching_json(reordered, matching),
-                }
-            )
+        out = [
+            {"order": list(r.generator_strings), "matching": _matching_json(r, m)} for r, m in pairs
+        ]
         _emit({"pairs": out})
     else:
         if not pairs:
             print("{}")
-        for perm, matching in pairs:
-            reordered = ideal.reordered(perm)
+        for reordered, matching in pairs:
             print(f"order: {', '.join(reordered.generator_strings)}")
             for edge in matching.edges:
                 print(f"  {edge_text(reordered, edge)}")

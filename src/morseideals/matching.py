@@ -40,18 +40,12 @@ from operator import index, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import _permutation
-from .taylor import TaylorComplex, cell_members
+from .taylor import TaylorComplex, _outside_error, cell_members
 
 
 def _require_facet_pair(s: int, t: int) -> None:
     if t & ~s or (s ^ t).bit_count() != 1:
         raise ValueError(f"edge ({s:#x}, {t:#x}) is not a facet pair")
-
-
-def _outside_error(what: str, cells: Iterable[int], size: int) -> ValueError:
-    """The error naming the first of ``cells`` outside ``0 .. size - 1``."""
-    outside = next(c for c in cells if not 0 <= c < size)
-    return ValueError(f"{what} cell {outside} is outside the cells 0..{size - 1} of the complex")
 
 
 def _family_cells(tc: TaylorComplex, family: Iterable[int]) -> list[int]:
@@ -60,7 +54,7 @@ def _family_cells(tc: TaylorComplex, family: Iterable[int]) -> list[int]:
     pool = sorted(set(family))
     size = 1 << tc.n
     if pool and (pool[0] < 0 or pool[-1] >= size):
-        raise _outside_error("family", pool, size)
+        raise _outside_error("family cell", pool, size)
     return pool
 
 
@@ -293,8 +287,9 @@ def bm_matching(tc: TaylorComplex, order: Iterable[int] | None = None, *, work=N
     order = range(tc.n) if order is None else _permutation(order, tc.n)
     matching = _kept_matching(_bridge_pairing(tc, order, work=work))
     # removing a bridge keeps the lcm, so every edge must be homogeneous
+    label = tc.cell_label
     for s, t in matching.edges:
-        if tc.lcm(s) is not tc.lcm(t):
+        if label[s] != label[t]:
             raise AssertionError(f"bridge pairing produced an inhomogeneous edge ({s:#x}, {t:#x})")
     return matching
 
@@ -414,14 +409,14 @@ def validate_matching(tc: TaylorComplex, matching: Matching) -> MatchingReport:
     facet pair, as in :meth:`Matching.from_pairs`.
     """
     edges = matching.edges
-    lcms = tc.lcms
-    size = len(lcms)
+    label = tc.cell_label
+    size = len(label)
     is_homogeneous = True
     for s, t in edges:
         if not (0 <= s < size and 0 <= t < size):
-            raise _outside_error("matching", (s, t), size)
+            raise _outside_error("matching cell", (s, t), size)
         _require_facet_pair(s, t)
-        if lcms[s] is not lcms[t]:
+        if label[s] != label[t]:
             is_homogeneous = False
     is_matching = len(matching.touched) == 2 * len(edges)
     source_of = matching.source_by_target

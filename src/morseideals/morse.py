@@ -12,15 +12,15 @@ a critical or source facet needs no walk, so a column adds its sign or
 nothing directly.
 
 Each entry's factor is the quotient of two lcm labels.  The Taylor complex
-packs each distinct label into one int, once for all its Morse complexes
-(:meth:`~morseideals.taylor.TaylorComplex.packed_labels`): variable ``v``
-gets a field as wide as its largest exponent, plus one guard bit on top.
-Setting every guard bit of the upper label and subtracting the lower one
-gives the packed quotient; a field whose exponent would be negative borrows
-its own guard bit and no other, so the quotient exists exactly when every
-guard bit survives.  Entries are shared per (quotient, weight) by every
-Morse complex of one Taylor complex; a valid quotient keeps every guard
-bit, so no shared entry hides a label that does not divide.
+packs its labels into one int each, indexed like them, once for all its
+Morse complexes (:meth:`~morseideals.taylor.TaylorComplex.packed_labels`):
+variable ``v`` gets a field as wide as its largest exponent, plus one guard
+bit on top.  Setting every guard bit of the upper label and subtracting the
+lower one gives the packed quotient; a field whose exponent would be
+negative borrows its own guard bit and no other, so the quotient exists
+exactly when every guard bit survives.  Entries are shared per (quotient,
+weight) by every Morse complex of one Taylor complex; a valid quotient keeps
+every guard bit, so no shared entry hides a label that does not divide.
 """
 
 from __future__ import annotations
@@ -147,10 +147,9 @@ def morse_differential(
 
     source_of = matching.source_by_target
     source_cells = matching.source_cells
-    lcms = tc.lcms
     context = tc.ideal.context
     fields, guards, code = tc.packed_labels()
-    packed = {c: code[id(lcms[c])] for b in basis for c in b}
+    packed = {c: code[tc.cell_label[c]] for b in basis for c in b}
     entry_of = tc._entries  # (quotient, weight) -> entry, shared by every complex of tc
     memo: dict = {}
     differentials = []

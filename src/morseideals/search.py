@@ -124,14 +124,6 @@ def _worker_error(exc: Exception) -> SearchWorkerError:
     )
 
 
-def _check_guard(n: int, force: bool) -> None:
-    if n > ORDER_SEARCH_GUARD and not force:
-        raise ValueError(
-            f"searching {n}! orders exceeds the guard (n <= {ORDER_SEARCH_GUARD}); "
-            f"pass force=True (CLI: --force) to run anyway"
-        )
-
-
 def _check_at_least(name: str, value, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
@@ -139,10 +131,6 @@ def _check_at_least(name: str, value, least: int) -> None:
 
 def _chunk_bounds(total: int, chunk: int) -> list[tuple[int, int]]:
     return [(s, min(total, s + chunk)) for s in range(0, total, chunk)]
-
-
-def _chunk_size(total: int, workers: int) -> int:
-    return max(256, min(20000, total // (workers * 16) or total))
 
 
 def _init_worker(work, stop) -> None:
@@ -322,13 +310,17 @@ def _search(ideal, friendly_only, stop_early, workers, force, limit, progress):
     _check_at_least("workers", workers, 1)
     if limit is not None:
         _check_at_least("limit", limit, 0)
-    _check_guard(ideal.n, force)
+    if ideal.n > ORDER_SEARCH_GUARD and not force:
+        raise ValueError(
+            f"searching {ideal.n}! orders exceeds the guard (n <= {ORDER_SEARCH_GUARD}); "
+            f"pass force=True (CLI: --force) to run anyway"
+        )
     total = math.factorial(ideal.n)
     cap = total if limit is None else min(total, limit)
     tc = build_taylor(ideal)
     work = _payload(tc, None if friendly_only else tuple(betti_numbers(tc).totals))
     group = _automorphisms(ideal)
-    tasks = _chunk_bounds(cap, _chunk_size(cap, workers))
+    tasks = _chunk_bounds(cap, max(256, min(20000, cap // (workers * 16) or cap)))
     chunks = _run_chunks(_scan, (work, group), tasks, workers, progress, stop_early)
     hits = []
     for _, found in chunks:

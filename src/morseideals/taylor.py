@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .algebra import Monomial, MonomialIdeal
 
@@ -27,54 +27,78 @@ def cell_members(cell: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _outside_error(what: str, values: Iterable[int], size: int, kind: str = "cells") -> ValueError:
+    """The error naming the first of ``values`` outside ``0 .. size - 1``."""
+    outside = next(v for v in values if not 0 <= v < size)
+    return ValueError(f"{what} {outside} is outside the {kind} 0..{size - 1} of the complex")
+
+
 class TaylorComplex:
-    """All ``2**n`` cells of an ideal with their lcm labels precomputed.
+    """All ``2**n`` cells of an ideal with their lcm labels.
 
-    ``lcms[cell]`` holds the lcm of the member generators; distinct exponent
-    vectors are interned to a single Monomial instance, so two cells have
-    equal lcms exactly when their table entries are the same object.
-    Immutable after construction; the tables derived from ``lcms`` are
-    built on first use and then shared by every caller.
+    ``labels`` holds each distinct lcm once, and ``cell_label[cell]`` is the
+    index in ``labels`` of the lcm of the cell's member generators, so two
+    cells have equal lcms exactly when their indices are equal.
+    :func:`build_taylor` lists the labels in the order of their smallest
+    cell.  The constructor rejects two equal labels, a ``cell_label`` of
+    other than ``2**n`` entries and an index outside ``labels``, and
+    :meth:`lcm` a cell outside the complex.  Immutable after construction;
+    the tables derived from the indices are built on first use and then
+    shared, read-only, by every caller.
 
-    :meth:`classes`, :meth:`bridge_table`, :meth:`divisor_masks` and
-    :meth:`packed_labels` rely on ``lcms`` being that interned table, as
-    :func:`build_taylor` makes it: they group cells by the identity of their
-    labels, and the bridges are read off the generators that attain each
-    label's exponents.  A table built by hand with other labels serves only
-    to exercise the divisibility guard of the Morse layer.  The Morse
-    complexes of one Taylor complex share its private memo ``_entries`` of
-    differential entries, keyed by (packed quotient, weight).
+    :meth:`bridge_table` and :meth:`divisor_masks` rely on the labels being
+    the lcms of the cells, as :func:`build_taylor` makes them: the bridges
+    are read off the generators that attain each label's exponents.  A
+    complex built by hand with other labels serves only to exercise the
+    divisibility guard of the Morse layer.  The Morse complexes of one
+    Taylor complex share its private memo ``_entries`` of differential
+    entries, keyed by (packed quotient, weight).
     """
 
-    __slots__ = ("ideal", "n", "lcms", "_class_cache", "_bridge_cache", "_divisor_cache",
-                 "_label_cache", "_entries")
+    __slots__ = ("ideal", "n", "labels", "cell_label", "_class_cache", "_bridge_cache",
+                 "_divisor_cache", "_label_cache", "_entries")
 
-    def __init__(self, ideal: MonomialIdeal, lcms: list[Monomial]):
+    def __init__(self, ideal: MonomialIdeal, labels: Iterable[Monomial], cell_label: Iterable[int]):
         self.ideal = ideal
         self.n = ideal.n
-        self.lcms = lcms
+        self.labels = labels = tuple(labels)
+        self.cell_label = cell_label = tuple(cell_label)
+        if len(cell_label) != 1 << self.n:
+            raise ValueError(f"cell_label has {len(cell_label)} entries, not {1 << self.n}, one per cell")
+        if not 0 <= min(cell_label) <= max(cell_label) < len(labels):
+            raise _outside_error("label index", cell_label, len(labels), "labels")
+        first: dict[tuple[int, ...], int] = {}
+        for k, m in enumerate(labels):
+            if first.setdefault(m.exponents, k) != k:
+                raise ValueError(f"labels {first[m.exponents]} and {k} are equal ({m})")
         self._class_cache = None
         self._bridge_cache = None
         self._divisor_cache = None
         self._label_cache = None
         self._entries = {}
 
+    @property
+    def lcms(self) -> list[Monomial]:
+        """A fresh list of every cell's label, indexed by cell mask."""
+        labels = self.labels
+        return [labels[k] for k in self.cell_label]
+
     def lcm(self, cell: int) -> Monomial:
-        return self.lcms[cell]
+        if not 0 <= cell < len(self.cell_label):
+            raise _outside_error("cell", (cell,), len(self.cell_label))
+        return self.labels[self.cell_label[cell]]
 
     def classes(self) -> Mapping[Monomial, tuple[int, ...]]:
         """Cells grouped by lcm label, each group ascending (cached, read-only).
 
-        Labels come in the order of their smallest cell.  The cells are
-        grouped by the identity of their interned labels, so no Monomial is
-        hashed per cell.
+        Labels come in the order of ``labels``, without those that no cell
+        has; one counting pass over ``cell_label`` groups the cells.
         """
         if self._class_cache is None:
-            lcms = self.lcms
-            groups: dict[int, list[int]] = {}
-            for cell, key in enumerate(map(id, lcms)):
-                groups.setdefault(key, []).append(cell)
-            self._class_cache = MappingProxyType({lcms[g[0]]: tuple(g) for g in groups.values()})
+            groups: list[list[int]] = [[] for _ in self.labels]
+            for cell, k in enumerate(self.cell_label):
+                groups[k].append(cell)
+            self._class_cache = MappingProxyType({m: tuple(g) for m, g in zip(self.labels, groups) if g})
         return self._class_cache
 
     def bridge_table(self) -> tuple[tuple[int, ...], ...]:
@@ -97,7 +121,7 @@ class TaylorComplex:
             for j, generator in enumerate(self.ideal.generators):
                 for at, e in zip(level, generator.exponents):
                     at[e] = at.get(e, 0) | 1 << j
-            table: list[tuple[int, ...]] = [()] * len(self.lcms)
+            table: list[tuple[int, ...]] = [()] * len(self.cell_label)
             memo: dict[int, tuple[int, ...]] = {}
             for label, cells in self.classes().items():
                 if len(cells) == 1:
@@ -129,32 +153,29 @@ class TaylorComplex:
         indexed by cell mask (cached).
 
         Adding a generator that divides a label to a cell keeps the label,
-        so the largest cell of a label's class holds exactly those generators.
+        so the largest cell with a label holds exactly those generators.
         """
         if self._divisor_cache is None:
-            table = [0] * len(self.lcms)
-            for cells in self.classes().values():
-                for c in cells:
-                    table[c] = cells[-1]
-            self._divisor_cache = tuple(table)
+            largest = [0] * len(self.labels)
+            for cell, k in enumerate(self.cell_label):
+                largest[k] = cell
+            self._divisor_cache = tuple(map(largest.__getitem__, self.cell_label))
         return self._divisor_cache
 
-    def packed_labels(self) -> tuple[tuple[tuple[int, int], ...], int, Mapping[int, int]]:
-        """``(fields, guards, code)``, read off :meth:`classes` (cached):
-        variable ``v`` gets the bit field ``fields[v] = (shift, mask)``, as
-        wide as its largest exponent, with one guard bit on top; ``guards``
-        masks the guard bits, and ``code[id(label)]`` (read-only) packs each
-        distinct label into one int."""
+    def packed_labels(self) -> tuple[tuple[tuple[int, int], ...], int, tuple[int, ...]]:
+        """``(fields, guards, code)``, read off ``labels`` (cached): variable
+        ``v`` gets the bit field ``fields[v] = (shift, mask)``, as wide as
+        its largest exponent, with one guard bit on top; ``guards`` masks the
+        guard bits, and ``code[k]`` packs ``labels[k]`` into one int."""
         if self._label_cache is None:
-            labels = self.classes()
             fields, shift, guards = [], 0, 0
-            for column in zip(*(label.exponents for label in labels)):
+            for column in zip(*(m.exponents for m in self.labels)):
                 width = max(column).bit_length()
                 fields.append((shift, (1 << width) - 1))
                 guards |= 1 << (shift + width)
                 shift += width + 1
-            code = {id(m): sum(e << s for e, (s, _) in zip(m.exponents, fields)) for m in labels}
-            self._label_cache = (tuple(fields), guards, MappingProxyType(code))
+            code = tuple(sum(e << s for e, (s, _) in zip(m.exponents, fields)) for m in self.labels)
+            self._label_cache = (tuple(fields), guards, code)
         return self._label_cache
 
 
@@ -164,15 +185,15 @@ def build_taylor(ideal: MonomialIdeal, max_generators: int = DEFAULT_MAX_GENERAT
     Each distinct lcm gets a label index.  The cells whose top generator is
     ``g`` are the cells below ``1 << g`` with ``g`` added, so a cell's label
     index is the join of its rest's label index with ``g``.  One dict per
-    generator memoizes those joins; the exponent vector is computed and
-    interned only on a miss, that is once per distinct (label, generator)
-    pair, not once per cell.
+    generator memoizes those joins; the exponent vector is computed only on
+    a miss, that is once per distinct (label, generator) pair, not once per
+    cell, and a new exponent vector becomes the next label.
     """
     n = ideal.n
     if n > max_generators:
         raise ValueError(
-            f"ideal has {n} generators, above the cap of {max_generators}; "
-            f"pass a larger max_generators to override"
+            f"ideal has {n} generators, above the Taylor cap of {max_generators}; "
+            f"pass a larger max_generators to build_taylor (the CLI has no override)"
         )
     context = ideal.context
     one = context.one()
@@ -192,7 +213,7 @@ def build_taylor(ideal: MonomialIdeal, max_generators: int = DEFAULT_MAX_GENERAT
                     labels.append(Monomial(context, exps))
                 joins[rest] = joined
             cell_label.append(joined)
-    return TaylorComplex(ideal, [labels[k] for k in cell_label])
+    return TaylorComplex(ideal, labels, cell_label)
 
 
 def facet_sign(cell: int, member: int) -> int:

@@ -388,6 +388,14 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1
 
 
+def test_taylor_cap_names_the_library_parameter(capsys):
+    assert main(["check", "--cycle", "25"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ideal has 25 generators, above the Taylor cap of 24; pass a larger "
+        "max_generators to build_taylor (the CLI has no override)\n"
+    )
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

@@ -146,10 +146,15 @@ def test_morse_factors_are_the_label_quotients(run4, ex56):
                 assert hash(factor) == hash(Monomial(factor.context, factor.exponents))
 
 
+def _relabelled(tc, cell, label):
+    """``tc`` with ``label`` appended to its labels and ``cell`` pointed at it."""
+    cell_label = list(tc.cell_label)
+    cell_label[cell] = len(tc.labels)
+    return TaylorComplex(tc.ideal, (*tc.labels, tc.ideal.context.monomial(label)), cell_label)
+
+
 def test_morse_rejects_a_label_that_does_not_divide(run4):
-    lcms = list(build_taylor(run4).lcms)
-    lcms[0b0001] = run4.context.monomial("w^2")  # in place of y*z
-    broken = TaylorComplex(run4, lcms)
+    broken = _relabelled(build_taylor(run4), 0b0001, "w^2")  # in place of y*z
     with pytest.raises(ValueError, match="lcm of cell 0x1 does not divide the lcm of cell 0x3"):
         morse_differential(broken, Matching.from_pairs(()))
 
@@ -168,10 +173,8 @@ def test_morse_rejects_a_label_that_does_not_divide(run4):
 def test_morse_rejects_a_label_that_fails_in_one_field(run4, cell, label, kind, pair):
     tc = build_taylor(run4)
     matching = lyubeznik_matching(tc) if kind == "lyubeznik" else Matching.from_pairs(())
-    lcms = list(tc.lcms)
-    lcms[cell] = run4.context.monomial(label)
     with pytest.raises(ValueError, match=f"^lcm of cell {pair}$"):
-        morse_differential(TaylorComplex(run4, lcms), matching)
+        morse_differential(_relabelled(tc, cell, label), matching)
 
 
 def test_a_warmed_entry_memo_still_rejects_a_label_that_does_not_divide(run4):
@@ -182,9 +185,7 @@ def test_a_warmed_entry_memo_still_rejects_a_label_that_does_not_divide(run4):
     for cell, label, kind, pair, avoided in cases:
         tc = build_taylor(run4)
         matching = lyubeznik_matching(tc) if kind == "lyubeznik" else Matching.from_pairs(())
-        lcms = list(tc.lcms)
-        lcms[cell] = run4.context.monomial(label)
-        broken = TaylorComplex(run4, lcms)
+        broken = _relabelled(tc, cell, label)
         family = [c for c in range(16) if not c >> avoided & 1]
         warm = morse_differential(broken, Matching.from_pairs(()), family)
         assert warm.differentials[0].entries and broken._entries

@@ -1,7 +1,9 @@
 import pytest
 
 from morseideals import (
+    Monomial,
     MonomialIdeal,
+    TaylorComplex,
     VariableContext,
     build_taylor,
     cell_members,
@@ -57,7 +59,7 @@ def test_build_zero_and_single():
 
 
 def test_cap_error_names_cap(run4):
-    with pytest.raises(ValueError, match="cap of 3"):
+    with pytest.raises(ValueError, match="^ideal has 4 generators, above the Taylor cap of 3; "):
         build_taylor(run4, max_generators=3)
 
 
@@ -91,22 +93,25 @@ def test_cached_tables_match_recomputation(run4, ex56):
         tc = build_taylor(ideal)
         classes = tc.classes()
         assert {label.exponents: cells for label, cells in classes.items()} == naive_classes(tc)
-        assert all(tc.lcm(c) is label for label, cells in classes.items() for c in cells)
-        # labels in the order of their smallest cell, one object per label
+        assert all(tc.lcm(c) == label for label, cells in classes.items() for c in cells)
+        # every label has a cell, and labels come in the order of their smallest cell
+        assert list(classes) == list(tc.labels)
         firsts = [cells[0] for cells in classes.values()]
         assert firsts == sorted(firsts)
-        assert len({id(m) for m in tc.lcms}) == len(classes)
+        # tc.lcms is a fresh list of one shared object per label
+        assert tc.lcms == [tc.lcm(c) for c in range(1 << tc.n)] and tc.lcms is not tc.lcms
+        assert len({id(m) for m in tc.lcms}) == len(tc.labels)
         table = tc.bridge_table()
         assert table == naive_bridge_table(tc)
         masks = tc.divisor_masks()
         assert masks == naive_divisor_masks(tc)
         labels = tc.packed_labels()
         fields, guards, code = labels
-        assert code.keys() == {id(label) for label in classes}
-        for label in classes:
-            assert tuple(code[id(label)] >> s & mask for s, mask in fields) == label.exponents
-            assert code[id(label)] & guards == 0
-        widths = [max(m.exponents[v] for m in classes).bit_length() for v in range(len(fields))]
+        assert len(code) == len(tc.labels)
+        for k, label in enumerate(tc.labels):
+            assert tuple(code[k] >> s & mask for s, mask in fields) == label.exponents
+            assert code[k] & guards == 0
+        widths = [max(m.exponents[v] for m in tc.labels).bit_length() for v in range(len(fields))]
         assert [mask for _, mask in fields] == [(1 << w) - 1 for w in widths]
         assert guards == sum(1 << (s + w) for (s, _), w in zip(fields, widths))
         # built once, then shared
@@ -143,7 +148,45 @@ def test_cached_classes_are_read_only(run4):
     with pytest.raises(TypeError):
         tc.divisor_masks()[0b1111] = 0
     with pytest.raises(TypeError):
-        tc.packed_labels()[2][id(label)] = 0
+        tc.packed_labels()[2][0] = 0
+    with pytest.raises(TypeError):
+        tc.cell_label[0b1111] = 0
+    with pytest.raises(TypeError):
+        tc.labels[0] = label
+    with pytest.raises(AttributeError):
+        tc.lcms = []
+
+
+def test_lcm_rejects_a_cell_outside_the_complex(run4):
+    tc = build_taylor(run4)
+    for cell in (-1, 16):
+        with pytest.raises(ValueError, match=f"^cell {cell} is outside the cells 0..15 of the complex$"):
+            tc.lcm(cell)
+
+
+def test_equal_labels_fail_at_construction(run4):
+    # one label per cell, each a fresh object: the equal ones must fail here,
+    # not drop classes and fail later inside morse_differential
+    tc = build_taylor(run4)
+    copies = [Monomial(run4.context, m.exponents) for m in tc.lcms]
+    with pytest.raises(ValueError, match=r"^labels 5 and 7 are equal \(w\*x\*y\*z\)$"):
+        TaylorComplex(run4, copies, range(16))
+
+
+@pytest.mark.parametrize(
+    "cell_label, message",
+    [
+        (range(15), "^cell_label has 15 entries, not 16, one per cell$"),
+        (range(17), "^cell_label has 17 entries, not 16, one per cell$"),
+        # a negative index must not wrap around to the last label
+        ([0] * 15 + [-1], r"^label index -1 is outside the labels 0\.\.9 of the complex$"),
+        ([0] * 15 + [10], r"^label index 10 is outside the labels 0\.\.9 of the complex$"),
+    ],
+)
+def test_malformed_cell_labels_fail_at_construction(run4, cell_label, message):
+    labels = build_taylor(run4).labels
+    with pytest.raises(ValueError, match=message):
+        TaylorComplex(run4, labels, cell_label)
 
 
 def test_smallest_bridge(run4):
