@@ -70,19 +70,8 @@ class Monomial:
             if e > MAX_EXPONENT:
                 raise ValueError(f"exponent {e} exceeds the supported bound {MAX_EXPONENT}")
 
-    @cached_property
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
-
     def is_one(self) -> bool:
         return not any(self.exponents)
-
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        _require_same_context(self, other)
-        return Monomial(self.context, tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def __str__(self) -> str:
         parts = []

@@ -48,16 +48,6 @@ def _require_facet_pair(s: int, t: int) -> None:
         raise ValueError(f"edge ({s:#x}, {t:#x}) is not a facet pair")
 
 
-def _family_cells(tc: TaylorComplex, family: Iterable[int]) -> list[int]:
-    """The distinct cells of ``family``, ascending; a cell outside the
-    complex raises ValueError naming the first one."""
-    pool = sorted(set(family))
-    size = 1 << tc.n
-    if pool and (pool[0] < 0 or pool[-1] >= size):
-        raise _outside_error("family cell", pool, size)
-    return pool
-
-
 class PossibleEdge(NamedTuple):
     """A pre-deduplication edge: smallest bridge position, cell, cell minus bridge."""
 
@@ -352,6 +342,37 @@ def trimmed_matching(tc: TaylorComplex, order2: Iterable[int]) -> Matching:
     return _kept_matching(_bridge_pairing(tc, order2, family))
 
 
+def _critical_basis(
+    tc: TaylorComplex, matching: Matching, family: Iterable[int] | None
+) -> list[list[int]]:
+    """The untouched cells of ``family`` (every cell by default) by
+    cardinality, 0 up to n, each group ascending.
+
+    A family must lie in the complex, be closed under facets and hold every
+    matched cell; otherwise ValueError names the first family cell outside
+    ``0 .. 2**n - 1`` or the first cell with a facet outside the family.
+    """
+    n = tc.n
+    touched = matching.touched
+    pool = range(1 << n)
+    if family is not None:
+        pool = sorted(set(family))
+        if pool and (pool[0] < 0 or pool[-1] >= 1 << n):
+            raise _outside_error("family cell", pool, 1 << n)
+        members = set(pool)
+        for c in pool:
+            for j in cell_members(c):
+                if c ^ (1 << j) not in members:
+                    raise ValueError(f"family is not closed under facets at cell {c:#x}")
+        if not touched <= members:
+            raise ValueError("matching touches cells outside the family")
+    basis: list[list[int]] = [[] for _ in range(n + 1)]
+    for c in pool:
+        if c not in touched:
+            basis[c.bit_count()].append(c)
+    return basis
+
+
 def critical_cells(
     tc: TaylorComplex, matching: Matching, family: Iterable[int] | None = None
 ) -> list[list[int]]:
@@ -359,19 +380,13 @@ def critical_cells(
 
     The empty cell is always critical and reported separately (degree 0), so
     the list has exactly n groups; a group may be empty.  Within a group the
-    cells come in ascending bitmask order.  A ``family`` cell outside the
-    cells ``0 .. 2**n - 1`` of the complex raises ValueError naming the
-    first one.
+    cells come in ascending bitmask order.  These are the basis of
+    :func:`morseideals.morse.morse_differential` without the empty cell,
+    under the same checks: a ``family`` cell outside the cells
+    ``0 .. 2**n - 1`` of the complex, a family not closed under facets and a
+    matched cell outside the family raise ValueError.
     """
-    touched = matching.touched
-    n = tc.n
-    groups: list[list[int]] = [[] for _ in range(n)]
-    pool = range(1 << n) if family is None else _family_cells(tc, family)
-    for c in pool:
-        k = c.bit_count()
-        if k and c not in touched:
-            groups[n - k].append(c)
-    return groups
+    return _critical_basis(tc, matching, family)[:0:-1]
 
 
 def _has_directed_cycle(adjacency: dict[int, list[int]]) -> bool:

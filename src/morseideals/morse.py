@@ -6,10 +6,10 @@ edges die, and the target of a matched edge bounces to the other facets of
 its partner.  The reversed step from target t up to source c weighs the
 negated incidence sign of (c, t), a facet step its incidence sign, and the
 empty path 1; d^2 = 0 and homology equal to the Betti oracle validate this
-convention.  The flow is resolved on a plain two-visit stack of cells with
-one memo per complex, shared by every facet (:func:`_resolve_transfer`);
-a critical or source facet needs no walk, so a column adds its sign or
-nothing directly.
+convention.  One sum over the facets of a cell (:func:`_flow`) forms both
+a column of the differential and the transfer of a target, whose flow is
+resolved on a plain two-visit stack of targets with one memo per complex
+(:func:`_resolve_transfer`).
 
 Each entry's factor is the quotient of two lcm labels.  The Taylor complex
 packs its labels into one int each, indexed like them, once for all its
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Monomial, MonomialIdeal
-from .matching import Matching, _family_cells, validate_matching
+from .matching import Matching, _critical_basis, validate_matching
 from .taylor import (
     DifferentialEntry,
     DifferentialMatrix,
@@ -54,53 +54,63 @@ class MorseComplex:
     differentials: tuple[DifferentialMatrix, ...]
 
 
-def _resolve_transfer(source_of, source_cells, start, memo):
-    """Fill ``memo[start]`` with the critical-cell combination of ``start``.
+def _flow(cell, sign, skip, source_of, source_cells, memo):
+    """``sign`` times the sum of ``facet_sign(cell, j) * flow(cell - j)``
+    over the facets of ``cell`` but ``skip``; weights may cancel to zero.
 
-    A plain stack of cells, so long gradient flow chains never hit the
-    recursion limit.  A matched target is visited twice: the first visit
-    marks it ``_PENDING`` and pushes the unresolved other facets of its
-    source, the second sums ``up * facet_sign * memo[facet]`` over them,
-    with ``facet_sign`` as a sign alternating over the members ascending.
+    A critical facet flows to itself, a source to nothing and a matched
+    target to its transfer, resolved into ``memo`` on first use.
+    """
+    acc: dict[int, int] = {}
+    rest = cell
+    while rest:  # members of cell ascending; sign times facet_sign(cell, j)
+        low = rest & -rest
+        rest ^= low
+        tau = cell ^ low
+        if tau in source_of:
+            if tau != skip:
+                part = memo.get(tau)
+                if part is None:
+                    part = _resolve_transfer(source_of, source_cells, tau, memo)
+                for crit, weight in part.items():
+                    acc[crit] = acc.get(crit, 0) + sign * weight
+        elif tau not in source_cells:
+            acc[tau] = acc.get(tau, 0) + sign
+        sign = -sign
+    return acc
+
+
+def _resolve_transfer(source_of, source_cells, start, memo):
+    """Fill ``memo[start]`` with the critical-cell combination of the
+    matched target ``start``.
+
+    A plain stack of targets, so long gradient flow chains never hit the
+    recursion limit.  A target is visited twice: the first visit marks it
+    ``_PENDING`` and pushes the unresolved targets among the other facets of
+    its source, the second stores the negated incidence sign of the step up
+    times :func:`_flow` over the source, leaving the target itself out.
     The pending cells on the stack are exactly the ancestors of the cell
     being expanded, so a pending facet means the gradient flow loops.
     """
-    got = memo.get(start)
-    if got is _PENDING:
-        raise ValueError(_LOOPS)
-    if got is not None:
-        return got
     stack = [start]
     while stack:
         tau = stack[-1]
-        c = source_of.get(tau)
+        c = source_of[tau]
         if tau not in memo:
-            if tau in source_cells:
-                memo[tau] = {}
-            elif c is None:
-                memo[tau] = {tau: 1}
-            else:
-                memo[tau] = _PENDING
-                for j in cell_members(tau):
-                    part = memo.get(c ^ (1 << j))
+            memo[tau] = _PENDING
+            for j in cell_members(tau):
+                facet = c ^ (1 << j)
+                if facet in source_of:
+                    part = memo.get(facet)
                     if part is _PENDING:
                         raise ValueError(_LOOPS)
                     if part is None:
-                        stack.append(c ^ (1 << j))
-                if stack[-1] != tau:  # facets to resolve first
-                    continue
+                        stack.append(facet)
+            if stack[-1] != tau:  # facets to resolve first
+                continue
         if memo[tau] is _PENDING:
-            matched = c ^ tau
-            sign = -facet_sign(c, matched.bit_length() - 1)  # the step up
-            acc: dict[int, int] = {}
-            rest = c
-            while rest:  # members of c ascending; sign times facet_sign(c, j)
-                low = rest & -rest
-                rest ^= low
-                if low != matched:
-                    for crit, weight in memo[c ^ low].items():
-                        acc[crit] = acc.get(crit, 0) + sign * weight
-                sign = -sign
+            sign = -facet_sign(c, (c ^ tau).bit_length() - 1)  # the step up
+            acc = _flow(c, sign, tau, source_of, source_cells, memo)
             memo[tau] = {k: v for k, v in acc.items() if v}
         stack.pop()
     return memo[start]
@@ -113,38 +123,21 @@ def morse_differential(
 
     ``family`` restricts the underlying complex to a facet-closed cell set
     (used for the trimmed construction); it must contain every matched cell.
-    The matching is validated first, and a cell of the matching or the
-    family outside the complex raises ValueError naming the first one.  The
-    entry for a critical pair is the accumulated integer weight times the
-    quotient of the lcm labels, and entries that cancel to zero are
-    dropped.  A quotient whose exponent difference has a negative entry
-    raises ValueError naming both cells.  Quotients are taken on the packed
-    labels of the module docstring, and every (quotient, weight) pair gets
-    one immutable entry, shared by every complex of ``tc``.
+    The matching is validated first, and a cell of the matching outside the
+    complex raises ValueError naming the first one.  The basis is that of
+    :func:`~morseideals.matching.critical_cells` plus the empty cell, and
+    the family is checked as there.  The entry for a critical pair is the
+    accumulated integer weight times the quotient of the lcm labels, and
+    entries that cancel to zero are dropped.  A quotient whose exponent
+    difference has a negative entry raises ValueError naming both cells.
+    Quotients are taken on the packed labels of the module docstring, and
+    every (quotient, weight) pair gets one immutable entry, shared by every
+    complex of ``tc``.
     """
     report = validate_matching(tc, matching)
     if not report.all_ok:
         raise ValueError(f"matching fails validation: {report}")
-    n = tc.n
-    if family is None:
-        pool = range(1 << n)
-    else:
-        pool = _family_cells(tc, family)
-        member_set = set(pool)
-        for c in pool:
-            for j in cell_members(c):
-                if c ^ (1 << j) not in member_set:
-                    raise ValueError(f"family is not closed under facets at cell {c:#x}")
-        for s, t in matching.edges:
-            if s not in member_set or t not in member_set:
-                raise ValueError("matching touches cells outside the family")
-
-    touched = matching.touched
-    basis: list[list[int]] = [[] for _ in range(n + 1)]
-    for c in pool:
-        if c not in touched:
-            basis[c.bit_count()].append(c)
-
+    basis = _critical_basis(tc, matching, family)
     source_of = matching.source_by_target
     source_cells = matching.source_cells
     context = tc.ideal.context
@@ -153,28 +146,14 @@ def morse_differential(
     entry_of = tc._entries  # (quotient, weight) -> entry, shared by every complex of tc
     memo: dict = {}
     differentials = []
-    for i in range(1, n + 1):
+    for i in range(1, tc.n + 1):
         rows = tuple(basis[i - 1])
         cols = tuple(basis[i])
         row_index = {c: k for k, c in enumerate(rows)}
         entries: dict[tuple[int, int], DifferentialEntry] = {}
         for cidx, sigma in enumerate(cols):
             top = packed[sigma] | guards
-            acc: dict[int, int] = {}
-            sign = 1  # facet_sign(sigma, j) over the members j ascending
-            rest = sigma
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                tau = sigma ^ low
-                if tau in source_of:
-                    part = _resolve_transfer(source_of, source_cells, tau, memo)
-                    for crit, weight in part.items():
-                        acc[crit] = acc.get(crit, 0) + sign * weight
-                elif tau not in source_cells:  # critical: it maps to itself
-                    acc[tau] = acc.get(tau, 0) + sign
-                sign = -sign
-            for crit, weight in acc.items():
+            for crit, weight in _flow(sigma, 1, None, source_of, source_cells, memo).items():
                 if weight:
                     q = top - packed[crit]
                     entry = entry_of.get((q, weight))

@@ -96,9 +96,14 @@ def unchecked_monomial(context, exponents):
 
 def transfer(tc, matching, cell, memo=None):
     """Integer combination of same-cardinality critical cells reached by the
-    gradient flow starting at ``cell``, from the kernel of
+    gradient flow starting at ``cell``: a source flows to nothing, a critical
+    cell to itself and a matched target through the kernel of
     ``morse_differential``.  The matching must be homogeneous and acyclic; a
     non-acyclic matching trips the cycle guard."""
+    if cell in matching.source_cells:
+        return {}
+    if cell not in matching.source_by_target:
+        return {cell: 1}
     if memo is None:
         memo = {}
     return dict(_resolve_transfer(matching.source_by_target, matching.source_cells, cell, memo))
@@ -438,9 +443,9 @@ def naive_verify_complex(mc):
     """d² = 0 with every product bucketed by ``(row, col, multidegree)``.
 
     The multidegree is the exponent tuple of the product, summed entry by
-    entry and kept as a tuple; no packing.  ``Monomial.__mul__`` is not used
-    because it rejects the negative and oversized exponents that the packing
-    tests feed in.  Reference for ``verify_complex``.
+    entry and kept as a tuple; no packing, and no ``Monomial``, which
+    rejects the negative and oversized exponents that the packing tests
+    feed in.  Reference for ``verify_complex``.
     """
     size = mc.ideal.context.size
     for low, high in zip(mc.differentials, mc.differentials[1:]):
@@ -465,6 +470,12 @@ def monomial_lcm(a, b):
     """Componentwise maximum of the exponent vectors."""
     _require_same_context(a, b)
     return Monomial(a.context, tuple(map(max, a.exponents, b.exponents)))
+
+
+def monomial_product(a, b):
+    """Componentwise sum of the exponent vectors."""
+    _require_same_context(a, b)
+    return Monomial(a.context, tuple(x + y for x, y in zip(a.exponents, b.exponents)))
 
 
 def smallest_bridge(tc, cell):

@@ -167,6 +167,31 @@ def test_parse_errors():
         parse_ideal("vars: x y")
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: VariableContext(()), "a variable context needs at least one variable"),
+        (lambda: VariableContext(("x", "1y")), "invalid variable name '1y'"),
+        (lambda: VariableContext(("x", "y", "x")), "duplicate variable names: x y x"),
+        (lambda: Monomial(VariableContext(("x", "y")), (1,)), "expected 2 exponents, got 1"),
+        (
+            lambda: Monomial(VariableContext(("x", "y")), (1, -1)),
+            "exponents must be nonnegative integers, got -1",
+        ),
+        (lambda: parse_monomial("", VariableContext(("x",))), "empty monomial"),
+        (
+            lambda: parse_monomial(" x^ ", VariableContext(("x",))),
+            "malformed factor 'x^' in monomial 'x^'",
+        ),
+        (lambda: parse_ideal("vars:\ngens: x\n"), "'vars:' line lists no variables"),
+    ],
+)
+def test_input_guards_name_the_fault(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_parse_format_round_trip(run4, tri, ex56):
     for ideal in (run4, tri, ex56, parse_ideal("vars: x\ngens:")):
         text = format_ideal(ideal)

@@ -84,3 +84,9 @@ def test_test_only_helpers_left_the_package():
         assert not hasattr(morseideals, name), name
         module = importlib.import_module(f"morseideals.{module_name}")
         assert not hasattr(module, name), f"{module_name}.{name}"
+
+
+def test_monomial_has_no_test_only_arithmetic():
+    # exponent sums, squarefreeness and products read ``exponents`` directly
+    for name in ("__mul__", "degree", "is_squarefree"):
+        assert not hasattr(morseideals.Monomial, name), name

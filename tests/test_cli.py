@@ -196,6 +196,35 @@ def test_friendly_golden(capsys):
     assert code == 0 and out == "true\n"
 
 
+def test_friendly_json_goldens(capsys):
+    code, out = run_cli(capsys, "friendly", "-i", RUN4, "--json")
+    assert code == 0 and out == '{"schema_version": 1, "bridge_friendly": false}\n'
+    code, out = run_cli(capsys, "friendly", "-i", TRI, "--json")
+    assert code == 0 and out == '{"schema_version": 1, "bridge_friendly": true}\n'
+
+
+def test_friendly_list_json_goldens(capsys):
+    code, out = run_cli(capsys, "friendly-list", "-i", RUN4, "--json")
+    assert code == 0 and out == '{"schema_version": 1, "pairs": []}\n'
+    code, out = run_cli(capsys, "friendly-list", "-i", TRI, "--json")
+    assert code == 0
+    assert out == (
+        '{"schema_version": 1, "pairs": ['
+        '{"order": ["x*y", "y*z", "x*z"], "matching": '
+        '[{"source": ["x*y", "y*z", "x*z"], "target": ["y*z", "x*z"]}]}, '
+        '{"order": ["x*y", "x*z", "y*z"], "matching": '
+        '[{"source": ["x*y", "x*z", "y*z"], "target": ["x*z", "y*z"]}]}, '
+        '{"order": ["y*z", "x*y", "x*z"], "matching": '
+        '[{"source": ["y*z", "x*y", "x*z"], "target": ["x*y", "x*z"]}]}, '
+        '{"order": ["y*z", "x*z", "x*y"], "matching": '
+        '[{"source": ["y*z", "x*z", "x*y"], "target": ["x*z", "x*y"]}]}, '
+        '{"order": ["x*z", "x*y", "y*z"], "matching": '
+        '[{"source": ["x*z", "x*y", "y*z"], "target": ["x*y", "y*z"]}]}, '
+        '{"order": ["x*z", "y*z", "x*y"], "matching": '
+        '[{"source": ["x*z", "y*z", "x*y"], "target": ["y*z", "x*y"]}]}]}\n'
+    )
+
+
 def test_friendly_list_goldens(capsys):
     code, out = run_cli(capsys, "friendly-list", "-i", RUN4)
     assert code == 0 and out == "{}\n"
@@ -221,6 +250,43 @@ def test_minimal_search_plain(capsys):
     code, out = run_cli(capsys, "minimal-search", "-i", RUN4)
     assert code == 0
     assert out == "found order: y*z, x*y, w*x, w*z\nranks: 1 4 4 1 0\n"
+
+
+def test_minimal_search_json(capsys):
+    # the benchmark's gates read the order, ranks and orders_tried keys
+    code, out = run_cli(capsys, "minimal-search", "-i", RUN4, "--json")
+    assert code == 0
+    assert out == (
+        '{"schema_version": 1, "found": true, "order": ["y*z", "x*y", "w*x", "w*z"], '
+        '"ranks": [1, 4, 4, 1, 0], "orders_tried": 1, "orders_total": 24, "mode": "first-hit"}\n'
+    )
+    code, out = run_cli(capsys, "minimal-search", "--cycle", "7", "--workers", "1", "--json")
+    assert code == 0
+    assert out == (
+        '{"schema_version": 1, "found": true, "order": '
+        '["x1*x2", "x2*x3", "x3*x4", "x4*x5", "x5*x6", "x6*x7", "x1*x7"], '
+        '"ranks": [1, 7, 14, 14, 7, 1, 0, 0], "orders_tried": 1, "orders_total": 5040, '
+        '"mode": "first-hit"}\n'
+    )
+    code, out = run_cli(capsys, "minimal-search", "--cycle", "5", "--mode", "exhaustive", "--json")
+    assert code == 0
+    assert out == (
+        '{"schema_version": 1, "found": true, '
+        '"order": ["x1*x2", "x2*x3", "x3*x4", "x4*x5", "x1*x5"], "ranks": [1, 5, 5, 1, 0, 0], '
+        '"orders_tried": 120, "orders_total": 120, "mode": "exhaustive"}\n'
+    )
+    code, out = run_cli(capsys, "minimal-search", "-i", RUN4, "--limit", "0", "--json")
+    assert code == 0
+    assert out == (
+        '{"schema_version": 1, "found": false, "order": null, "ranks": null, '
+        '"orders_tried": 0, "orders_total": 24, "mode": "first-hit"}\n'
+    )
+
+
+def test_betti_multigraded_plain(capsys):
+    code, out = run_cli(capsys, "betti", "-i", TRI, "--multigraded")
+    assert code == 0
+    assert out == "1 3 2 0\n1: 1 0 0 0\nx*y: 0 1 0 0\nx*y*z: 0 0 2 0\nx*z: 0 1 0 0\ny*z: 0 1 0 0\n"
 
 
 def test_betti_outputs(capsys):

@@ -38,7 +38,7 @@ def test_cycle_generators_invariant_under_rotation():
         tuple(exps[-1:] + exps[:-1]) for exps in (list(g.exponents) for g in ideal.generators)
     }
     assert {tuple(s) for s in rotated} == supports
-    assert all(g.degree() == 2 for g in ideal.generators)
+    assert all(sum(g.exponents) == 2 for g in ideal.generators)
     assert ideal.n == n
 
 
@@ -64,6 +64,13 @@ def test_graph_validation():
         SimpleGraph(2, ((1, 3),))
     with pytest.raises(ValueError, match="duplicate"):
         SimpleGraph(3, ((1, 2), (2, 1)))
+
+
+def test_empty_graphs_are_rejected():
+    with pytest.raises(ValueError, match="^empty graph file$"):
+        parse_graph("")
+    with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
+        SimpleGraph(0, ())
 
 
 def test_parse_graph_fixture():
@@ -98,7 +105,7 @@ def test_random_ideal_minimal_and_squarefree():
         ideal = random_squarefree_ideal(seed, 3 + seed % 4, 2 + seed % 5)
         assert ideal.n >= 1
         for g in ideal.generators:
-            assert g.is_squarefree and g.degree() >= 2
+            assert max(g.exponents) == 1 and sum(g.exponents) >= 2
 
 
 def test_random_ideal_matches_the_re_minimizing_loop():

@@ -277,7 +277,7 @@ def _random_non_squarefree_ideals(count):
         if not monomials:
             continue
         generators, _ = minimize_generators(monomials)
-        if not all(g.is_squarefree for g in generators):
+        if any(max(g.exponents) > 1 for g in generators):
             out.append(MonomialIdeal(context, generators))
     return out
 

@@ -347,14 +347,28 @@ def test_validation_rejects_non_facet_edges(edge):
         assert str(info.value) == message
 
 
-@pytest.mark.parametrize("family,outside", [([0, -1], -1), ([0, 16], 16), ([0, -1, 16], -1)])
-def test_family_cells_outside_the_complex_are_rejected(family, outside):
-    tc = build_taylor(cycle_edge_ideal(4))
-    empty = Matching.from_pairs(())
-    message = f"family cell {outside} is outside the cells 0..15 of the complex"
+@pytest.mark.parametrize(
+    "family,outside",
+    [
+        ([0, -1], -1),
+        ([0, 16], 16),
+        ([0, -1, 16], -1),
+        ([0, 0b0011], "family is not closed under facets at cell 0x3"),
+        # the BM matching pairs no cell of cardinality below 2
+        ([0, 1, 2, 4, 8], "matching touches cells outside the family"),
+    ],
+)
+def test_family_cells_outside_the_complex_are_rejected(run4, family, outside):
+    """Both entry points check a family the same way: inside the complex,
+    closed under facets and holding every matched cell."""
+    tc = build_taylor(run4)
+    bm = bm_matching(tc)
+    message = outside
+    if isinstance(outside, int):
+        message = f"family cell {outside} is outside the cells 0..15 of the complex"
     for check in (critical_cells, morse_differential):
         with pytest.raises(ValueError) as info:
-            check(tc, empty, family)
+            check(tc, bm, family)
         assert str(info.value) == message
 
 

@@ -30,6 +30,7 @@ from conftest import (
     corpus_ideals,
     enumerate_gradient_paths,
     load_fixture_ideal,
+    monomial_product,
     naive_verify_complex,
     quotient,
     reference_morse_differential,
@@ -229,7 +230,8 @@ def test_verify_complex_detects_wrong_monomial_factor(run4):
     mc = taylor_chain_complex(build_taylor(run4))
     w = run4.context.monomial("w")
     mutated = _with_first_entry(
-        mc, lambda entry: DifferentialEntry(entry.coefficient, entry.monomial_factor * w)
+        mc,
+        lambda entry: DifferentialEntry(entry.coefficient, monomial_product(entry.monomial_factor, w)),
     )
     assert not verify_complex(mutated)
 
@@ -347,7 +349,7 @@ def test_complexes_of_one_taylor_complex_share_their_entries():
                 assert seen.setdefault(key, entry) is entry
     # every entry of the memo is met, with factors of degree 0 and 1 and weights of both signs
     assert len(seen) == len(tc._entries)
-    assert {(c > 0, f.degree()) for c, f in seen} >= {(True, 0), (False, 1)}
+    assert {(c > 0, sum(f.exponents)) for c, f in seen} >= {(True, 0), (False, 1)}
 
 
 def test_morse_differential_at_the_exponent_bound():
@@ -390,7 +392,9 @@ def test_verify_complex_matches_naive_on_every_factor_change(run4):
     count = 0
     for name in run4.context.names:
         variable = run4.context.monomial(name)
-        times = lambda entry: DifferentialEntry(entry.coefficient, entry.monomial_factor * variable)
+        times = lambda entry: DifferentialEntry(
+            entry.coefficient, monomial_product(entry.monomial_factor, variable)
+        )
         for mc in _taylor_entry_mutations(run4, times):
             assert verify_complex(mc) == naive_verify_complex(mc) is False
             count += 1
@@ -531,6 +535,14 @@ def test_verify_complex_rejects_a_column_index_out_of_range(run4):
         )
         with pytest.raises(ValueError, match=f"^column index {column} out of range for 4 columns$"):
             verify_complex(broken)
+
+
+def test_verify_complex_rejects_misaligned_bases(run4):
+    mc = morse_differential(build_taylor(run4), Matching.from_pairs(()))
+    d1, _, d3, _ = mc.differentials
+    broken = MorseComplex(mc.ideal, mc.basis, (d1, d3))  # d1's columns are not d3's rows
+    with pytest.raises(AssertionError, match="^differential bases are misaligned$"):
+        verify_complex(broken)
 
 
 def test_verify_complex_rejects_a_row_index_out_of_range():

@@ -344,6 +344,11 @@ def test_minimal_search_rejects_bad_limit(tri, limit):
         bridge_minimal_search(tri, limit=limit)
 
 
+def test_minimal_search_rejects_an_unknown_mode(tri):
+    with pytest.raises(ValueError, match="^unknown search mode 'bogus'$"):
+        bridge_minimal_search(tri, mode="bogus")
+
+
 @pytest.mark.parametrize("workers", [0, -2, 1.5, None])
 def test_searches_reject_bad_workers(tri, workers):
     with pytest.raises(ValueError, match="workers"):
