@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 from operator import index, or_
 from typing import Iterable, NamedTuple, Sequence
 
@@ -43,9 +44,10 @@ from .algebra import _permutation
 from .taylor import TaylorComplex, _outside_error, cell_members
 
 
-def _require_facet_pair(s: int, t: int) -> None:
-    if t & ~s or (s ^ t).bit_count() != 1:
-        raise ValueError(f"edge ({s:#x}, {t:#x}) is not a facet pair")
+def _facet_error(s: int, t: int) -> ValueError:
+    """The error naming an edge ``(s, t)`` whose target is not ``s`` minus
+    one member."""
+    return ValueError(f"edge ({s:#x}, {t:#x}) is not a facet pair")
 
 
 class PossibleEdge(NamedTuple):
@@ -71,14 +73,18 @@ class Matching:
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, int]]) -> Matching:
         edges = set()
+        add = edges.add
         for s, t in pairs:
             try:
-                edges.add((index(s), index(t)))
+                add((index(s), index(t)))
             except TypeError:
                 raise ValueError(f"edge ({s!r}, {t!r}) has a non-integer endpoint") from None
-        uniq = sorted(edges, key=lambda e: (-int.bit_count(e[0]), e[0], e[1]))
+        # a stable sort keeps the ascending (source, target) order per size
+        uniq = sorted(edges)
+        uniq.sort(key=lambda e: e[0].bit_count(), reverse=True)
         for s, t in uniq:
-            _require_facet_pair(s, t)
+            if t & ~s or (s ^ t).bit_count() != 1:
+                raise _facet_error(s, t)
         return Matching(tuple(uniq))
 
     def __iter__(self):
@@ -89,7 +95,7 @@ class Matching:
 
     @cached_property
     def touched(self) -> frozenset[int]:
-        return frozenset(c for e in self.edges for c in e)
+        return frozenset(chain.from_iterable(self.edges))
 
     @cached_property
     def source_cells(self) -> frozenset[int]:
@@ -382,29 +388,31 @@ def critical_cells(
     the list has exactly n groups; a group may be empty.  Within a group the
     cells come in ascending bitmask order.  These are the basis of
     :func:`morseideals.morse.morse_differential` without the empty cell,
-    under the same checks: a ``family`` cell outside the cells
-    ``0 .. 2**n - 1`` of the complex, a family not closed under facets and a
-    matched cell outside the family raise ValueError.
+    under the same checks: the matching is validated first and one that is
+    not a homogeneous acyclic matching raises ValueError; a ``family`` cell
+    outside the cells ``0 .. 2**n - 1`` of the complex, a family not closed
+    under facets and a matched cell outside the family raise ValueError too.
     """
+    report = validate_matching(tc, matching)
+    if not report.all_ok:
+        raise ValueError(f"matching fails validation: {report}")
     return _critical_basis(tc, matching, family)[:0:-1]
 
 
 def _has_directed_cycle(adjacency: dict[int, list[int]]) -> bool:
-    """Kahn peel: True iff the graph, whose keys are its nodes, has a cycle."""
-    indegree = dict.fromkeys(adjacency, 0)
+    """Kahn peel: True iff the graph has a cycle.  ``adjacency`` maps a node
+    to its successors; a node without successors may be left out."""
+    indegree: dict[int, int] = {}
     for successors in adjacency.values():
         for w in successors:
-            indegree[w] += 1
-    ready = [v for v, d in indegree.items() if d == 0]
-    seen = 0
+            indegree[w] = indegree.get(w, 0) + 1
+    ready = [v for v in adjacency if v not in indegree]
     while ready:
-        v = ready.pop()
-        seen += 1
-        for w in adjacency[v]:
+        for w in adjacency.get(ready.pop(), ()):
             indegree[w] -= 1
-            if indegree[w] == 0:
+            if not indegree[w]:
                 ready.append(w)
-    return seen != len(adjacency)
+    return any(indegree.values())
 
 
 def validate_matching(tc: TaylorComplex, matching: Matching) -> MatchingReport:
@@ -416,29 +424,49 @@ def validate_matching(tc: TaylorComplex, matching: Matching) -> MatchingReport:
     target, so the next step goes down, to a facet ``t' != t`` of ``s`` with
     its lcm.  A cycle has as many ups as downs, so they alternate and every
     ``t'`` is a target again.  One Kahn peel on the targets with the steps
-    ``t -> t'`` decides; a step never lowers the lcm and raises it at an
-    inhomogeneous edge, so such an edge lies on no cycle.
+    ``t -> t'`` decides; it takes only the targets with a step.  A step
+    never lowers the lcm and raises it at an inhomogeneous edge, so such an
+    edge lies on no cycle.
 
     An endpoint outside the cells ``0 .. 2**n - 1`` of the complex raises
     ValueError naming the first one, and so does an edge that is not a
-    facet pair, as in :meth:`Matching.from_pairs`.
+    facet pair, as in :meth:`Matching.from_pairs`.  The report depends only
+    on the edges and the complex, so each complex keeps the report of the
+    edge tuple it validated last and returns it while the same edges come
+    again, as they do in one ``check``: the Lyubeznik matching validates
+    itself, and its callers validate it again.  Keeping one report keeps
+    alive no edge tuple that its caller has dropped.  An edge set that
+    raises is not kept and raises on every call.
     """
     edges = matching.edges
+    report = tc._reports.get(edges)
+    if report is not None:
+        return report
     label = tc.cell_label
     size = len(label)
     is_homogeneous = True
     for s, t in edges:
-        if not (0 <= s < size and 0 <= t < size):
-            raise _outside_error("matching cell", (s, t), size)
-        _require_facet_pair(s, t)
+        if not (0 <= t < s < size and not t & ~s and (s ^ t).bit_count() == 1):
+            if not (0 <= s < size and 0 <= t < size):
+                raise _outside_error("matching cell", (s, t), size)
+            raise _facet_error(s, t)
         if label[s] != label[t]:
             is_homogeneous = False
     is_matching = len(matching.touched) == 2 * len(edges)
-    source_of = matching.source_by_target
-    table = tc.bridge_table()
-    steps = {
-        t: [f for f in (s ^ (1 << b) for b in table[s]) if f != t and f in source_of]
-        for t, s in source_of.items()
-    }
-    is_acyclic = is_matching and not _has_directed_cycle(steps)
-    return MatchingReport(is_matching, is_homogeneous, is_acyclic)
+    is_acyclic = False
+    if is_matching:
+        source_of = matching.source_by_target
+        table = tc.bridge_table()
+        steps = {}
+        for t, s in source_of.items():
+            out = []
+            for b in table[s]:
+                f = s ^ 1 << b
+                if f != t and f in source_of:
+                    out.append(f)
+            if out:
+                steps[t] = out
+        is_acyclic = not _has_directed_cycle(steps)
+    tc._reports.clear()
+    report = tc._reports[edges] = MatchingReport(is_matching, is_homogeneous, is_acyclic)
+    return report

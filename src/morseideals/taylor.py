@@ -52,11 +52,13 @@ class TaylorComplex:
     complex built by hand with other labels serves only to exercise the
     divisibility guard of the Morse layer.  The Morse complexes of one
     Taylor complex share its private memo ``_entries`` of differential
-    entries, keyed by (packed quotient, weight).
+    entries, keyed by (packed quotient, weight), and its validations share
+    the private memo ``_reports``, which maps the edge tuple validated last
+    to its report (see :func:`~morseideals.matching.validate_matching`).
     """
 
     __slots__ = ("ideal", "n", "labels", "cell_label", "_class_cache", "_bridge_cache",
-                 "_divisor_cache", "_label_cache", "_entries")
+                 "_divisor_cache", "_label_cache", "_entries", "_reports")
 
     def __init__(self, ideal: MonomialIdeal, labels: Iterable[Monomial], cell_label: Iterable[int]):
         self.ideal = ideal
@@ -76,6 +78,7 @@ class TaylorComplex:
         self._divisor_cache = None
         self._label_cache = None
         self._entries = {}
+        self._reports = {}
 
     @property
     def lcms(self) -> list[Monomial]:

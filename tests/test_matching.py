@@ -267,7 +267,11 @@ EX56_CYCLIC = ((0b110111, 0b110011), (0b111011, 0b111001), (0b111101, 0b110101))
 
 def test_validate_matching_on_shared_taylor_complex(run4, ex56):
     """Reports on one reused complex equal reports on a fresh one each time:
-    the cached class and bridge tables carry nothing from matching to matching."""
+    the cached class and bridge tables and the report memo carry nothing
+    from matching to matching.  A report asked for again, or for the same
+    edges in another order, is the fresh one; the memo keeps only the last
+    edge tuple, and an edge set that raises raises on every call without
+    entering it."""
 
     def matchings(ideal, tc):
         full = (1 << ideal.n) - 1
@@ -291,7 +295,19 @@ def test_validate_matching_on_shared_taylor_complex(run4, ex56):
             for name, matching in matchings(ideal, build_taylor(ideal)).items()
         }
         for order in (list(named), list(reversed(named))):
-            assert {name: validate_matching(shared, named[name]) for name in order} == fresh
+            for _ in range(2):
+                assert {name: validate_matching(shared, named[name]) for name in order} == fresh
+        for name, matching in named.items():
+            backwards = Matching(matching.edges[::-1])
+            assert validate_matching(shared, backwards) == fresh[name], name
+        kept = dict(shared._reports)
+        assert list(kept) == [backwards.edges]
+        outside = Matching(((1 << ideal.n, 0),))
+        message = f"matching cell {1 << ideal.n} is outside the cells 0..{(1 << ideal.n) - 1}"
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                validate_matching(shared, outside)
+            assert shared._reports == kept
         assert fresh["inhomogeneous"] == (True, False, True)
         assert not fresh["overlapping"].is_matching
         if ideal is ex56:
@@ -372,10 +388,29 @@ def test_family_cells_outside_the_complex_are_rejected(run4, family, outside):
         assert str(info.value) == message
 
 
+def test_critical_cells_validates_the_matching(tri):
+    """An edge set that is not a matching fails at both entry points with
+    one message, also after a validation has stored its report."""
+    tc = build_taylor(tri)
+    shared_source = Matching.from_pairs([(0b111, 0b011), (0b111, 0b101)])
+    message = (
+        "matching fails validation: "
+        "MatchingReport(is_matching=False, is_homogeneous=True, is_acyclic=False)"
+    )
+    for _ in range(2):
+        for check in (critical_cells, morse_differential):
+            with pytest.raises(ValueError) as info:
+                check(tc, shared_source)
+            assert str(info.value) == message
+
+
 def test_cycle_detector():
     assert _has_directed_cycle({1: [2], 2: [3], 3: [1]})
     assert _has_directed_cycle({1: [1], 2: []})
     assert not _has_directed_cycle({1: [2, 3], 2: [3], 3: []})
+    # a node without successors may be left out
+    assert not _has_directed_cycle({1: [2, 3], 2: [3]})
+    assert _has_directed_cycle({1: [2, 4], 2: [3], 3: [2]})
     assert not _has_directed_cycle({})
 
 
