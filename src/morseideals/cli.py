@@ -111,7 +111,7 @@ def _kind_matching(kind: str, tc, order2):
         return lyubeznik_matching(tc), None
     if kind == "trimmed":
         return trimmed_matching(tc, order2), critical_family(tc, lyubeznik_matching(tc))
-    return Matching.from_pairs(()), None
+    return Matching(()), None
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,13 @@ def _facet_error(s: int, t: int) -> ValueError:
     return ValueError(f"edge ({s:#x}, {t:#x}) is not a facet pair")
 
 
+def _canonical(edges: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Distinct edges ``(source, target, ...)`` in canonical order:
+    descending source cardinality, then ascending ``(source, target)``."""
+    # a stable sort keeps the ascending (source, target) order per size
+    return tuple(sorted(sorted(edges), key=lambda e: e[0].bit_count(), reverse=True))
+
+
 class PossibleEdge(NamedTuple):
     """A pre-deduplication edge: smallest bridge position, cell, cell minus bridge."""
 
@@ -64,14 +71,14 @@ class Matching:
 
     Vertex-disjointness is reported by :func:`validate_matching` rather than
     enforced here, so adversarial edge sets can be inspected.  Edges are kept
-    in canonical order: descending source cardinality, then ascending source
-    bitmask.
+    in the order of :func:`_canonical`.
     """
 
     edges: tuple[tuple[int, int], ...]
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, int]]) -> Matching:
+        """The matching of outside pairs: integer endpoints, facet edges."""
         edges = set()
         add = edges.add
         for s, t in pairs:
@@ -79,13 +86,11 @@ class Matching:
                 add((index(s), index(t)))
             except TypeError:
                 raise ValueError(f"edge ({s!r}, {t!r}) has a non-integer endpoint") from None
-        # a stable sort keeps the ascending (source, target) order per size
-        uniq = sorted(edges)
-        uniq.sort(key=lambda e: e[0].bit_count(), reverse=True)
+        uniq = _canonical(edges)
         for s, t in uniq:
             if t & ~s or (s ^ t).bit_count() != 1:
                 raise _facet_error(s, t)
-        return Matching(tuple(uniq))
+        return Matching(uniq)
 
     def __iter__(self):
         return iter(self.edges)
@@ -96,10 +101,6 @@ class Matching:
     @cached_property
     def touched(self) -> frozenset[int]:
         return frozenset(chain.from_iterable(self.edges))
-
-    @cached_property
-    def source_cells(self) -> frozenset[int]:
-        return frozenset(s for s, _ in self.edges)
 
     @cached_property
     def source_by_target(self) -> dict[int, int]:
@@ -220,22 +221,18 @@ def _sweep(perm, work, friendly_only=False, record=None):
 
 def _bridge_pairing(
     tc: TaylorComplex, order: Sequence[int], family: Iterable[int] | None = None, work=None
-) -> list[tuple[int, int, int, bool]]:
+) -> tuple[tuple[int, int, bool], ...]:
     """Every possible edge of the bridge pairing under ``order``.
 
     ``order`` lists the generator indices smallest first.  Each edge comes
-    as ``(position, source, target, kept)``: ``position`` is the place of
-    the source's smallest bridge in ``order``, and ``kept`` is False when
-    step (3) discards the edge for a smaller bridge with the same target.
-    Edges come by descending source cardinality, then ascending source
-    mask.  ``family`` restricts the pairing to its cells (cardinality at
-    least 3) and must contain every target.  ``work``, the
+    as ``(source, target, kept)``: the target is the source minus its
+    smallest bridge, and ``kept`` is False when step (3) discards the edge
+    for a smaller bridge with the same target.  Edges come in the order of
+    :func:`_canonical`.  ``family`` restricts the pairing to its cells
+    (cardinality at least 3) and must contain every target.  ``work``, the
     :func:`_payload` of ``tc`` and ``family`` without a target, spares
     building it again when many orders share it.
     """
-    position = [0] * tc.n
-    for p, g in enumerate(order):
-        position[g] = p
     members = None if family is None else set(family)
     record: list[tuple[int, int, int]] = []
     _sweep(order, _payload(tc, None, members) if work is None else work, record=record)
@@ -245,32 +242,39 @@ def _bridge_pairing(
         while targets:
             low = targets & -targets
             target = low.bit_length() - 1
-            edges.append((position[g], target | bit, target, not (low & found_before)))
+            edges.append((target | bit, target, not (low & found_before)))
             targets ^= low
-    edges.sort(key=lambda e: (-e[1].bit_count(), e[1]))
     if members is not None:
-        for _, source, target, _ in edges:
+        for source, target, _ in edges:
             if target not in members:
                 gens = tc.ideal.generators
                 names = ", ".join(str(gens[i]) for i in cell_members(source))
                 raise ValueError(
                     f"family is not closed under smallest-bridge deletion at cell {{{names}}}"
                 )
-    return edges
+    return _canonical(edges)
 
 
-def _kept_matching(edges: Iterable[tuple[int, int, int, bool]]) -> Matching:
-    """Step (3): the edges that no smaller bridge beat to their target."""
-    matching = Matching.from_pairs((s, t) for _, s, t, kept in edges if kept)
+def _kept_matching(tc: TaylorComplex, edges: Iterable[tuple[int, int, bool]]) -> Matching:
+    """Step (3): the canonical edges of :func:`_bridge_pairing` that no
+    smaller bridge beat to their target.  Removing a bridge keeps the lcm,
+    so they must form a homogeneous matching, or AssertionError is raised."""
+    matching = Matching(tuple((s, t) for s, t, kept in edges if kept))
     if len(matching.touched) != 2 * len(matching):
         raise AssertionError("bridge-pairing construction produced a non-matching")
+    label = tc.cell_label
+    for s, t in matching.edges:
+        if label[s] != label[t]:
+            raise AssertionError(f"bridge pairing produced an inhomogeneous edge ({s:#x}, {t:#x})")
     return matching
 
 
 def possible_edges_with_positions(tc: TaylorComplex) -> list[PossibleEdge]:
-    """All bridge pairings before duplicate targets are resolved, by
-    descending source cardinality and then ascending source mask."""
-    return [PossibleEdge(p, s, t) for p, s, t, _ in _bridge_pairing(tc, range(tc.n))]
+    """All bridge pairings of the ideal's own order before duplicate targets
+    are resolved, in canonical order; the position of an edge is the
+    generator it removes."""
+    edges = _bridge_pairing(tc, range(tc.n))
+    return [PossibleEdge((s ^ t).bit_length() - 1, s, t) for s, t, _ in edges]
 
 
 def bm_matching(tc: TaylorComplex, order: Iterable[int] | None = None, *, work=None) -> Matching:
@@ -281,13 +285,7 @@ def bm_matching(tc: TaylorComplex, order: Iterable[int] | None = None, *, work=N
     the complex's own indexing.  ``work`` is passed to :func:`_bridge_pairing`.
     """
     order = range(tc.n) if order is None else _permutation(order, tc.n)
-    matching = _kept_matching(_bridge_pairing(tc, order, work=work))
-    # removing a bridge keeps the lcm, so every edge must be homogeneous
-    label = tc.cell_label
-    for s, t in matching.edges:
-        if label[s] != label[t]:
-            raise AssertionError(f"bridge pairing produced an inhomogeneous edge ({s:#x}, {t:#x})")
-    return matching
+    return _kept_matching(tc, _bridge_pairing(tc, order, work=work))
 
 
 def is_bridge_friendly(tc: TaylorComplex) -> bool:
@@ -321,7 +319,7 @@ def lyubeznik_matching(tc: TaylorComplex) -> Matching:
                 pairs.add((cell | ml, cell & ~ml))
                 break
             prefix ^= low
-    matching = Matching.from_pairs(pairs)
+    matching = Matching(_canonical(pairs))
     report = validate_matching(tc, matching)
     if not report.all_ok:
         raise AssertionError(f"Lyubeznik construction produced an invalid matching: {report}")
@@ -345,7 +343,7 @@ def trimmed_matching(tc: TaylorComplex, order2: Iterable[int]) -> Matching:
     """
     order2 = _permutation(order2, tc.n)
     family = critical_family(tc, lyubeznik_matching(tc))
-    return _kept_matching(_bridge_pairing(tc, order2, family))
+    return _kept_matching(tc, _bridge_pairing(tc, order2, family))
 
 
 def _critical_basis(

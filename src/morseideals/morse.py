@@ -54,12 +54,13 @@ class MorseComplex:
     differentials: tuple[DifferentialMatrix, ...]
 
 
-def _flow(cell, sign, skip, source_of, source_cells, memo):
+def _flow(cell, sign, skip, source_of, touched, memo):
     """``sign`` times the sum of ``facet_sign(cell, j) * flow(cell - j)``
     over the facets of ``cell`` but ``skip``; weights may cancel to zero.
 
     A critical facet flows to itself, a source to nothing and a matched
-    target to its transfer, resolved into ``memo`` on first use.
+    target to its transfer, resolved into ``memo`` on first use.  A facet
+    that is no target is a source exactly when it is in ``touched``.
     """
     acc: dict[int, int] = {}
     rest = cell
@@ -71,16 +72,16 @@ def _flow(cell, sign, skip, source_of, source_cells, memo):
             if tau != skip:
                 part = memo.get(tau)
                 if part is None:
-                    part = _resolve_transfer(source_of, source_cells, tau, memo)
+                    part = _resolve_transfer(source_of, touched, tau, memo)
                 for crit, weight in part.items():
                     acc[crit] = acc.get(crit, 0) + sign * weight
-        elif tau not in source_cells:
+        elif tau not in touched:
             acc[tau] = acc.get(tau, 0) + sign
         sign = -sign
     return acc
 
 
-def _resolve_transfer(source_of, source_cells, start, memo):
+def _resolve_transfer(source_of, touched, start, memo):
     """Fill ``memo[start]`` with the critical-cell combination of the
     matched target ``start``.
 
@@ -110,7 +111,7 @@ def _resolve_transfer(source_of, source_cells, start, memo):
                 continue
         if memo[tau] is _PENDING:
             sign = -facet_sign(c, (c ^ tau).bit_length() - 1)  # the step up
-            acc = _flow(c, sign, tau, source_of, source_cells, memo)
+            acc = _flow(c, sign, tau, source_of, touched, memo)
             memo[tau] = {k: v for k, v in acc.items() if v}
         stack.pop()
     return memo[start]
@@ -139,10 +140,10 @@ def morse_differential(
         raise ValueError(f"matching fails validation: {report}")
     basis = _critical_basis(tc, matching, family)
     source_of = matching.source_by_target
-    source_cells = matching.source_cells
+    touched = matching.touched
     context = tc.ideal.context
     fields, guards, code = tc.packed_labels()
-    packed = {c: code[tc.cell_label[c]] for b in basis for c in b}
+    cell_label = tc.cell_label
     entry_of = tc._entries  # (quotient, weight) -> entry, shared by every complex of tc
     memo: dict = {}
     differentials = []
@@ -152,10 +153,10 @@ def morse_differential(
         row_index = {c: k for k, c in enumerate(rows)}
         entries: dict[tuple[int, int], DifferentialEntry] = {}
         for cidx, sigma in enumerate(cols):
-            top = packed[sigma] | guards
-            for crit, weight in _flow(sigma, 1, None, source_of, source_cells, memo).items():
+            top = code[cell_label[sigma]] | guards
+            for crit, weight in _flow(sigma, 1, None, source_of, touched, memo).items():
                 if weight:
-                    q = top - packed[crit]
+                    q = top - code[cell_label[crit]]
                     entry = entry_of.get((q, weight))
                     if entry is None:
                         if q & guards != guards:  # a field borrowed its guard bit

@@ -86,7 +86,7 @@ from operator import itemgetter
 
 from .algebra import MonomialIdeal
 from .homology import betti_numbers
-from .matching import Matching, _payload, _root, _step, bm_matching
+from .matching import Matching, _canonical, _payload, _root, _step, bm_matching
 from .taylor import build_taylor
 
 ORDER_SEARCH_GUARD = 10
@@ -362,7 +362,7 @@ def bridge_friendly_list(
         for p, g in enumerate(perm):
             position[g] = p
         pairs = bm_matching(tc, perm, work=work)
-        matching = Matching.from_pairs((_relabel(s, position), _relabel(t, position)) for s, t in pairs)
+        matching = Matching(_canonical((_relabel(s, position), _relabel(t, position)) for s, t in pairs))
         out.extend((tuple(t[g] for g in perm), matching) for t in group)
     out.sort(key=itemgetter(0))
     return out

@@ -100,13 +100,15 @@ def transfer(tc, matching, cell, memo=None):
     cell to itself and a matched target through the kernel of
     ``morse_differential``.  The matching must be homogeneous and acyclic; a
     non-acyclic matching trips the cycle guard."""
-    if cell in matching.source_cells:
+    sources = {s for s, _ in matching.edges}
+    if cell in sources:
         return {}
     if cell not in matching.source_by_target:
         return {cell: 1}
     if memo is None:
         memo = {}
-    return dict(_resolve_transfer(matching.source_by_target, matching.source_cells, cell, memo))
+    # for a cell that is no target, being touched and being a source agree
+    return dict(_resolve_transfer(matching.source_by_target, sources, cell, memo))
 
 
 def exact_rank(matrix):
@@ -417,11 +419,11 @@ def enumerate_gradient_paths(tc, matching, cell):
     Exponential path expansion; reference for the memoized ``transfer`` on
     small ideals.
     """
-    source_of = matching.source_by_target
-    source_cells = matching.source_cells
+    source_of = {t: s for s, t in matching.edges}
+    sources = set(source_of.values())
 
     def walk(tau, weight, seen):
-        if tau in source_cells:
+        if tau in sources:
             return
         c = source_of.get(tau)
         if c is None:

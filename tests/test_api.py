@@ -90,3 +90,8 @@ def test_monomial_has_no_test_only_arithmetic():
     # exponent sums, squarefreeness and products read ``exponents`` directly
     for name in ("__mul__", "degree", "is_squarefree"):
         assert not hasattr(morseideals.Monomial, name), name
+
+
+def test_matching_has_no_source_table():
+    # a facet that is no target is a source exactly when it is touched
+    assert not hasattr(morseideals.Matching, "source_cells")

@@ -28,6 +28,7 @@ from morseideals.matching import (
     PossibleEdge,
     _bridge_pairing,
     _has_directed_cycle,
+    _kept_matching,
     _payload,
     _sweep,
 )
@@ -91,6 +92,28 @@ def test_family_closure_checked(run4):
     family = [0b0111, 0b0011, 0b0110]
     with pytest.raises(ValueError, match="closed"):
         _bridge_pairing(tc, range(tc.n), family)
+
+
+def test_kept_matching_is_the_one_checked_exit():
+    tc = build_taylor(cycle_edge_ideal(4))
+    # two kept edges that share the cell {x2*x3, x3*x4}
+    with pytest.raises(AssertionError, match="non-matching"):
+        _kept_matching(tc, [(0b1110, 0b0110, True), (0b0110, 0b0100, True)])
+    # {x1*x2, x2*x3} has the lcm x1*x2*x3, {x1*x2} only x1*x2
+    with pytest.raises(AssertionError, match="inhomogeneous"):
+        _kept_matching(tc, [(0b0011, 0b0001, True)])
+    # a discarded edge is left out before the checks
+    assert _kept_matching(tc, [(0b0011, 0b0001, False)]) == Matching(())
+
+
+def test_possible_edge_positions_are_the_removed_generators(run4, ex56):
+    ideals = [cycle_edge_ideal(9), cycle_edge_ideal(11), parse_ideal(POWER_IDEAL), run4, ex56]
+    for ideal in ideals + corpus_ideals():
+        tc = build_taylor(ideal)
+        edges = possible_edges_with_positions(tc)
+        assert edges == reference_possible_edges(tc), ideal
+        for pe in edges:
+            assert pe.source ^ pe.target == 1 << pe.sbridge_position, (ideal, pe)
 
 
 def test_lyu_values_ex56(ex56):
