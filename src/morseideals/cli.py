@@ -16,9 +16,10 @@ from .families import cycle_edge_ideal, edge_ideal, parse_graph, random_squarefr
 from .homology import betti_numbers, homology_ranks
 from .matching import (
     Matching,
+    _canonical,
     bm_matching,
     critical_cells,
-    critical_family,
+    critical_family,  # not called here, but bench/tracing.py shims cli.critical_family
     is_bridge_friendly,
     lyubeznik_matching,
     possible_edges_with_positions,
@@ -102,16 +103,19 @@ def _order2(ideal: MonomialIdeal, args) -> tuple[int, ...]:
 
 
 def _kind_matching(kind: str, tc, order2):
-    """The matching of one kind, and the cell family that restricts it
-    (``None`` except for ``trimmed``, whose family is the Lyubeznik-critical
-    cells)."""
-    if kind == "bm":
-        return bm_matching(tc), None
-    if kind == "lyubeznik":
-        return lyubeznik_matching(tc), None
+    """The matching that one kind prints, and the matching of its Morse
+    complex: the same but for ``trimmed``, whose complex is that of the
+    union of the trimmed and Lyubeznik matchings."""
     if kind == "trimmed":
-        return trimmed_matching(tc, order2), critical_family(tc, lyubeznik_matching(tc))
-    return Matching(()), None
+        trimmed = trimmed_matching(tc, order2)
+        return trimmed, Matching(_canonical(lyubeznik_matching(tc).edges + trimmed.edges))
+    if kind == "bm":
+        matching = bm_matching(tc)
+    elif kind == "lyubeznik":
+        matching = lyubeznik_matching(tc)
+    else:
+        matching = Matching(())
+    return matching, matching
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +147,7 @@ def _cmd_matching(args) -> int:
                     f"{cell_text(ideal, pe.target)})"
                 )
         return 0
-    matching, family = _kind_matching(args.kind, tc, _order2(ideal, args))
+    matching, whole = _kind_matching(args.kind, tc, _order2(ideal, args))
     if args.action == "matching":
         if args.json:
             _emit({"edges": _matching_json(ideal, matching)})
@@ -152,7 +156,7 @@ def _cmd_matching(args) -> int:
                 print(edge_text(ideal, edge))
         return 0
     # groups run from cardinality n down to 1; ranks from degree 0 up to n
-    groups = critical_cells(tc, matching, family)
+    groups = critical_cells(tc, whole)
     if args.action == "critical":
         if args.json:
             _emit({"groups": [[cell_json(ideal, c) for c in group] for group in groups]})
@@ -272,9 +276,9 @@ def _cmd_check(args) -> int:
     results = []
     ok = True
     for kind in kinds:
-        matching, family = _kind_matching(kind, tc, order2)
+        _, matching = _kind_matching(kind, tc, order2)
         report = validate_matching(tc, matching)
-        complex_ = morse_differential(tc, matching, family)
+        complex_ = morse_differential(tc, matching)
         d2 = verify_complex(complex_)
         homology = homology_ranks(complex_)
         values = ranks(complex_)

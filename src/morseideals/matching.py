@@ -41,7 +41,7 @@ from operator import index, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import _permutation
-from .taylor import TaylorComplex, _outside_error, cell_members
+from .taylor import TaylorComplex, _outside_error
 
 
 def _facet_error(s: int, t: int) -> ValueError:
@@ -229,13 +229,12 @@ def _bridge_pairing(
     smallest bridge, and ``kept`` is False when step (3) discards the edge
     for a smaller bridge with the same target.  Edges come in the order of
     :func:`_canonical`.  ``family`` restricts the pairing to its cells
-    (cardinality at least 3) and must contain every target.  ``work``, the
-    :func:`_payload` of ``tc`` and ``family`` without a target, spares
-    building it again when many orders share it.
+    (cardinality at least 3); a family closed under facets holds every
+    target.  ``work``, the :func:`_payload` of ``tc`` and ``family`` without
+    a target, spares building it again when many orders share it.
     """
-    members = None if family is None else set(family)
     record: list[tuple[int, int, int]] = []
-    _sweep(order, _payload(tc, None, members) if work is None else work, record=record)
+    _sweep(order, _payload(tc, None, family) if work is None else work, record=record)
     edges = []
     for g, targets, found_before in record:
         bit = 1 << g
@@ -244,14 +243,6 @@ def _bridge_pairing(
             target = low.bit_length() - 1
             edges.append((target | bit, target, not (low & found_before)))
             targets ^= low
-    if members is not None:
-        for source, target, _ in edges:
-            if target not in members:
-                gens = tc.ideal.generators
-                names = ", ".join(str(gens[i]) for i in cell_members(source))
-                raise ValueError(
-                    f"family is not closed under smallest-bridge deletion at cell {{{names}}}"
-                )
     return _canonical(edges)
 
 
@@ -337,64 +328,41 @@ def trimmed_matching(tc: TaylorComplex, order2: Iterable[int]) -> Matching:
 
     The Lyubeznik matching is taken with respect to the ideal's own order;
     ``order2`` (a permutation of the generator indices, smallest first) only
-    drives the bridge choices of the second pass.  Produced targets must stay
-    inside the critical family, which holds because that family is a
-    simplicial complex.
+    drives the bridge choices of the second pass.  Produced targets stay
+    inside the critical family, since that family is a simplicial complex.
+    The trimmed Morse complex is that of the union of this matching and the
+    Lyubeznik one: the family is closed under facets and holds no cell that
+    the Lyubeznik matching touches, so a gradient path that enters it stays
+    there, and the union has the critical cells and the entries of this
+    matching over the family.
     """
     order2 = _permutation(order2, tc.n)
     family = critical_family(tc, lyubeznik_matching(tc))
     return _kept_matching(tc, _bridge_pairing(tc, order2, family))
 
 
-def _critical_basis(
-    tc: TaylorComplex, matching: Matching, family: Iterable[int] | None
-) -> list[list[int]]:
-    """The untouched cells of ``family`` (every cell by default) by
-    cardinality, 0 up to n, each group ascending.
-
-    A family must lie in the complex, be closed under facets and hold every
-    matched cell; otherwise ValueError names the first family cell outside
-    ``0 .. 2**n - 1`` or the first cell with a facet outside the family.
-    """
-    n = tc.n
-    touched = matching.touched
-    pool = range(1 << n)
-    if family is not None:
-        pool = sorted(set(family))
-        if pool and (pool[0] < 0 or pool[-1] >= 1 << n):
-            raise _outside_error("family cell", pool, 1 << n)
-        members = set(pool)
-        for c in pool:
-            for j in cell_members(c):
-                if c ^ (1 << j) not in members:
-                    raise ValueError(f"family is not closed under facets at cell {c:#x}")
-        if not touched <= members:
-            raise ValueError("matching touches cells outside the family")
-    basis: list[list[int]] = [[] for _ in range(n + 1)]
-    for c in pool:
-        if c not in touched:
-            basis[c.bit_count()].append(c)
+def _critical_basis(tc: TaylorComplex, matching: Matching) -> list[list[int]]:
+    """The untouched cells by cardinality, 0 up to n, each group ascending."""
+    basis: list[list[int]] = [[] for _ in range(tc.n + 1)]
+    for c in critical_family(tc, matching):
+        basis[c.bit_count()].append(c)
     return basis
 
 
-def critical_cells(
-    tc: TaylorComplex, matching: Matching, family: Iterable[int] | None = None
-) -> list[list[int]]:
+def critical_cells(tc: TaylorComplex, matching: Matching) -> list[list[int]]:
     """Untouched cells grouped by cardinality, from n down to 1.
 
     The empty cell is always critical and reported separately (degree 0), so
     the list has exactly n groups; a group may be empty.  Within a group the
     cells come in ascending bitmask order.  These are the basis of
     :func:`morseideals.morse.morse_differential` without the empty cell,
-    under the same checks: the matching is validated first and one that is
-    not a homogeneous acyclic matching raises ValueError; a ``family`` cell
-    outside the cells ``0 .. 2**n - 1`` of the complex, a family not closed
-    under facets and a matched cell outside the family raise ValueError too.
+    under the same check: the matching is validated first and one that is
+    not a homogeneous acyclic matching raises ValueError.
     """
     report = validate_matching(tc, matching)
     if not report.all_ok:
         raise ValueError(f"matching fails validation: {report}")
-    return _critical_basis(tc, matching, family)[:0:-1]
+    return _critical_basis(tc, matching)[:0:-1]
 
 
 def _has_directed_cycle(adjacency: dict[int, list[int]]) -> bool:

@@ -117,28 +117,23 @@ def _resolve_transfer(source_of, touched, start, memo):
     return memo[start]
 
 
-def morse_differential(
-    tc: TaylorComplex, matching: Matching, family=None
-) -> MorseComplex:
+def morse_differential(tc: TaylorComplex, matching: Matching) -> MorseComplex:
     """Assemble the chain complex on the critical cells of ``matching``.
 
-    ``family`` restricts the underlying complex to a facet-closed cell set
-    (used for the trimmed construction); it must contain every matched cell.
     The matching is validated first, and a cell of the matching outside the
     complex raises ValueError naming the first one.  The basis is that of
-    :func:`~morseideals.matching.critical_cells` plus the empty cell, and
-    the family is checked as there.  The entry for a critical pair is the
-    accumulated integer weight times the quotient of the lcm labels, and
-    entries that cancel to zero are dropped.  A quotient whose exponent
-    difference has a negative entry raises ValueError naming both cells.
-    Quotients are taken on the packed labels of the module docstring, and
-    every (quotient, weight) pair gets one immutable entry, shared by every
-    complex of ``tc``.
+    :func:`~morseideals.matching.critical_cells` plus the empty cell.  The
+    entry for a critical pair is the accumulated integer weight times the
+    quotient of the lcm labels, and entries that cancel to zero are dropped.
+    A quotient whose exponent difference has a negative entry raises
+    ValueError naming both cells.  Quotients are taken on the packed labels
+    of the module docstring, and every (quotient, weight) pair gets one
+    immutable entry, shared by every complex of ``tc``.
     """
     report = validate_matching(tc, matching)
     if not report.all_ok:
         raise ValueError(f"matching fails validation: {report}")
-    basis = _critical_basis(tc, matching, family)
+    basis = _critical_basis(tc, matching)
     source_of = matching.source_by_target
     touched = matching.touched
     context = tc.ideal.context

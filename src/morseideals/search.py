@@ -66,11 +66,12 @@ Hence the reduction changes no result:
   which gives every friendly order once; one matching serves an orbit,
   since in the reordered indexing its orders have the same bridge pairing.
 
-Once :func:`_automorphisms` has made :data:`AUTOMORPHISM_BUDGET` candidate
-checks it stops and the identity alone is used, which is the unreduced walk.
-The budget bounds what a search pays for a group it cannot use, such as the
-symmetric group of x1, ..., x7, and still covers the groups of the cycles
-up to C12 (C12 takes 1,464 checks).
+Once :func:`_automorphisms` has made ``max(AUTOMORPHISM_BUDGET, n**3)``
+candidate checks for an ideal of ``n`` generators, it stops and the identity
+alone is used, which is the unreduced walk.  The budget bounds what a search
+pays for a group it cannot use, such as the symmetric group of x1, ..., x7,
+and grows with ``n`` so that it covers the dihedral groups of the cycles,
+which take about 0.9 * n**3 checks (1,464 on C12, 2,380 on C14).
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def _pool_chunk(task):
 def _automorphisms(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     """The generator permutations that a permutation of the variables
     induces, the identity first; the identity alone once the search for
-    them has made :data:`AUTOMORPHISM_BUDGET` candidate checks.
+    them has made ``max(AUTOMORPHISM_BUDGET, n**3)`` candidate checks.
 
     ``t`` maps generator ``i`` to ``t[i]``.  It is induced exactly when
     reading each variable's exponent column over the generators through
@@ -175,7 +176,7 @@ def _automorphisms(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     want = [sorted(row) for row in ids]
     rows = [tuple(c[j] for c in columns) for j in range(n)]  # generator j's entries
     group, image, free = [], [], [True] * n
-    checks = AUTOMORPHISM_BUDGET
+    checks = max(AUTOMORPHISM_BUDGET, n**3)
 
     def extend(prefixes):
         # False once the budget is spent

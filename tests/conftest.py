@@ -11,12 +11,12 @@ from morseideals import (
     PossibleEdge,
     VariableContext,
     cell_members,
-    critical_cells,
     critical_family,
     divides,
     lyubeznik_matching,
     parse_ideal,
     random_squarefree_ideal,
+    trimmed_matching,
 )
 from morseideals.algebra import _require_same_context
 from morseideals.families import SplitMix64
@@ -526,10 +526,15 @@ def reference_morse_differential(tc, matching, family=None):
     """The Morse complex entry by entry: each column sums ``facet_sign``
     times ``transfer`` over the facets of its cell, in ascending member
     order, and each factor is the ``quotient`` of the two lcm labels.  The
-    basis is the empty cell and the groups of ``critical_cells``."""
+    basis is the untouched cells of ``family`` (every cell by default), by
+    cardinality and ascending; a family must be closed under facets and
+    hold every matched cell."""
     n = tc.n
-    groups = critical_cells(tc, matching, family)
-    basis = ((0,), *(tuple(groups[n - k]) for k in range(1, n + 1)))
+    cells = range(1 << n) if family is None else sorted(family)
+    basis = tuple(
+        tuple(c for c in cells if c.bit_count() == k and c not in matching.touched)
+        for k in range(n + 1)
+    )
     memo = {}
     differentials = []
     for i in range(1, n + 1):
@@ -660,6 +665,12 @@ def reference_is_bridge_friendly(tc):
     possible = reference_possible_edges(tc)
     kept = resolve_duplicate_targets(possible)
     return {(pe.source, pe.target) for pe in possible} == edge_set(kept)
+
+
+def trimmed_union(tc, order2):
+    """The matching of the trimmed Morse complex under ``order2``: the
+    trimmed matching together with the Lyubeznik matching."""
+    return Matching.from_pairs(lyubeznik_matching(tc).edges + trimmed_matching(tc, order2).edges)
 
 
 def reference_trimmed_matching(tc, order2):

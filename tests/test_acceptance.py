@@ -21,7 +21,6 @@ from morseideals import (
     bridge_minimal_search,
     build_taylor,
     critical_cells,
-    critical_family,
     cycle_edge_ideal,
     homology_ranks,
     is_bridge_friendly,
@@ -111,14 +110,15 @@ def test_criterion_3_run4_trimmed_suite(run4):
         tc = build_taylor(run4)
         matching = trimmed_matching(tc, (0, 1, 2, 3))
         assert matching.edges == ((0b0111, 0b0101),)
-        family = critical_family(tc, lyubeznik_matching(tc))
-        assert critical_cells(tc, matching, family) == [
+        # the trimmed complex is that of the union with the Lyubeznik matching
+        whole = Matching.from_pairs(lyubeznik_matching(tc).edges + matching.edges)
+        assert critical_cells(tc, whole) == [
             [],
             [0b1101],
             [0b0011, 0b0110, 0b1001, 0b1100],
             [0b0001, 0b0010, 0b0100, 0b1000],
         ]
-        complex_ = morse_differential(tc, matching, family)
+        complex_ = morse_differential(tc, whole)
         assert ranks(complex_) == [1, 4, 4, 1, 0]
         assert is_minimal(complex_) is True
 
@@ -274,17 +274,16 @@ def test_criterion_9_property_suite(corpus):
             bm = bm_matching(tc)
             lyu = lyubeznik_matching(tc)
             trimmed = trimmed_matching(tc, tuple(range(n)))
-            family = critical_family(tc, lyu)
             empty = Matching.from_pairs(())
             rank_lists = {}
-            for kind, matching, fam in (
-                ("bm", bm, None),
-                ("lyubeznik", lyu, None),
-                ("trimmed", trimmed, family),
-                ("empty", empty, None),
+            for kind, matching in (
+                ("bm", bm),
+                ("lyubeznik", lyu),
+                ("trimmed", Matching.from_pairs(lyu.edges + trimmed.edges)),
+                ("empty", empty),
             ):
                 assert validate_matching(tc, matching).all_ok, (kind, ideal)
-                complex_ = morse_differential(tc, matching, fam)
+                complex_ = morse_differential(tc, matching)
                 assert verify_complex(complex_), (kind, ideal)
                 assert homology_ranks(complex_) == totals, (kind, ideal)
                 values = ranks(complex_)

@@ -12,14 +12,13 @@ from morseideals import (
     build_taylor,
     cli,
     critical_cells,
-    critical_family,
     cycle_edge_ideal,
     lyubeznik_matching,
     parse_ideal,
     trimmed_matching,
 )
 from morseideals.cli import build_parser, main
-from conftest import cell_of
+from conftest import cell_of, trimmed_union
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RUN4 = str(FIXTURES / "run4.ideal")
@@ -155,13 +154,16 @@ def test_matching_commands_agree_with_check(capsys, source):
     def cell(names):
         return cell_of(index[name] for name in names)
 
-    family = critical_family(tc, lyubeznik_matching(tc))
+    bm, lyu = bm_matching(tc), lyubeznik_matching(tc)
+    forward, backward = range(ideal.n), tuple(reversed(range(ideal.n)))
     reverse = ("--order2", ",".join(reversed(ideal.generator_strings)))
-    for command, kind, extra, matching, kind_family in (
-        ("bm", "bm", (), bm_matching(tc), None),
-        ("lyu", "lyubeznik", (), lyubeznik_matching(tc), None),
-        ("trim", "trimmed", (), trimmed_matching(tc, range(ideal.n)), family),
-        ("trim", "trimmed", reverse, trimmed_matching(tc, reversed(range(ideal.n))), family),
+    # the trimmed kind prints its matching, and its critical cells are those
+    # of the union with the Lyubeznik matching
+    for command, kind, extra, matching, whole in (
+        ("bm", "bm", (), bm, bm),
+        ("lyu", "lyubeznik", (), lyu, lyu),
+        ("trim", "trimmed", (), trimmed_matching(tc, forward), trimmed_union(tc, forward)),
+        ("trim", "trimmed", reverse, trimmed_matching(tc, backward), trimmed_union(tc, backward)),
     ):
         where = (command, extra)
         edges = _json_cli(capsys, command, "matching", *source, *extra, "--json")["edges"]
@@ -169,7 +171,7 @@ def test_matching_commands_agree_with_check(capsys, source):
         assert edges == list(matching.edges), where
         groups = _json_cli(capsys, command, "critical", *source, *extra, "--json")["groups"]
         groups = [[cell(names) for names in group] for group in groups]
-        assert groups == critical_cells(tc, matching, kind_family), where
+        assert groups == critical_cells(tc, whole), where
         checked = _json_cli(capsys, "check", *source, "--kind", kind, *extra, "--json")
         want = checked["results"][0]["ranks"]
         printed = _json_cli(capsys, command, "ranks", *source, *extra, "--json")["ranks"]

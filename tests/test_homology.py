@@ -8,7 +8,6 @@ from morseideals import (
     betti_numbers,
     bm_matching,
     build_taylor,
-    critical_family,
     cycle_edge_ideal,
     divides,
     format_ideal,
@@ -36,6 +35,7 @@ from conftest import (
     naive_rank,
     reference_betti_numbers,
     taylor_chain_complex,
+    trimmed_union,
 )
 
 
@@ -196,8 +196,7 @@ def _check_complexes(tc):
     """The complexes of the four ``check`` kinds, built as the CLI builds them."""
     yield morse_differential(tc, bm_matching(tc))
     yield morse_differential(tc, lyubeznik_matching(tc))
-    family = critical_family(tc, lyubeznik_matching(tc))
-    yield morse_differential(tc, trimmed_matching(tc, tuple(range(tc.n))), family)
+    yield morse_differential(tc, trimmed_union(tc, range(tc.n)))
     yield morse_differential(tc, Matching.from_pairs(()))
 
 

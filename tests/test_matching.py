@@ -26,7 +26,6 @@ from morseideals import (
 )
 from morseideals.matching import (
     PossibleEdge,
-    _bridge_pairing,
     _has_directed_cycle,
     _kept_matching,
     _payload,
@@ -48,6 +47,7 @@ from conftest import (
     reference_trimmed_matching,
     resolve_duplicate_targets,
     sweep_cells,
+    trimmed_union,
 )
 
 FULL = 0b1111
@@ -84,14 +84,6 @@ def test_bm_matching_running_ideal(run4):
 def test_bm_matching_trivial_cases():
     zero = MonomialIdeal(VariableContext(("x",)), ())
     assert len(bm_matching(build_taylor(zero))) == 0
-
-
-def test_family_closure_checked(run4):
-    tc = build_taylor(run4)
-    # {yz,xy,wx} pairs with {yz,wx}, which is missing from this family
-    family = [0b0111, 0b0011, 0b0110]
-    with pytest.raises(ValueError, match="closed"):
-        _bridge_pairing(tc, range(tc.n), family)
 
 
 def test_kept_matching_is_the_one_checked_exit():
@@ -248,10 +240,7 @@ def test_critical_cells_running_ideal(run4):
 
 def test_critical_cells_trimmed_family(run4):
     tc = build_taylor(run4)
-    lyu = lyubeznik_matching(tc)
-    family = critical_family(tc, lyu)
-    trimmed = trimmed_matching(tc, (0, 1, 2, 3))
-    assert critical_cells(tc, trimmed, family) == [
+    assert critical_cells(tc, trimmed_union(tc, (0, 1, 2, 3))) == [
         [],
         [0b1101],
         [0b0011, 0b0110, 0b1001, 0b1100],
@@ -383,31 +372,6 @@ def test_validation_rejects_non_facet_edges(edge):
     for check in (validate_matching, morse_differential):
         with pytest.raises(ValueError) as info:
             check(tc, matching)
-        assert str(info.value) == message
-
-
-@pytest.mark.parametrize(
-    "family,outside",
-    [
-        ([0, -1], -1),
-        ([0, 16], 16),
-        ([0, -1, 16], -1),
-        ([0, 0b0011], "family is not closed under facets at cell 0x3"),
-        # the BM matching pairs no cell of cardinality below 2
-        ([0, 1, 2, 4, 8], "matching touches cells outside the family"),
-    ],
-)
-def test_family_cells_outside_the_complex_are_rejected(run4, family, outside):
-    """Both entry points check a family the same way: inside the complex,
-    closed under facets and holding every matched cell."""
-    tc = build_taylor(run4)
-    bm = bm_matching(tc)
-    message = outside
-    if isinstance(outside, int):
-        message = f"family cell {outside} is outside the cells 0..15 of the complex"
-    for check in (critical_cells, morse_differential):
-        with pytest.raises(ValueError) as info:
-            check(tc, bm, family)
         assert str(info.value) == message
 
 
@@ -548,7 +512,7 @@ def test_bitset_kernel_equals_the_cell_by_cell_reference(run4, ex56, tri):
 
 def test_family_sweep_ranks_count_the_family_cells(run4):
     """On a family, the sweep's ranks are the critical cells per cardinality
-    of the trimmed matching, the empty cell included."""
+    of the trimmed complex, the empty cell included."""
     rng = random.Random(16)
     ideals = [run4, cycle_edge_ideal(7), *corpus_ideals()]
     ideals += [random_squarefree_ideal(seed, 5, 7) for seed in range(10)]
@@ -560,6 +524,6 @@ def test_family_sweep_ranks_count_the_family_cells(run4):
         work = _payload(tc, None, family)
         for _ in range(3):
             order = tuple(rng.sample(range(n), n))
-            groups = critical_cells(tc, trimmed_matching(tc, order), family)
+            groups = critical_cells(tc, trimmed_union(tc, order))
             ranks = _sweep(order, work)
             assert ranks == (1, *(len(groups[n - k]) for k in range(1, n + 1))), (ideal, order)

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -10,6 +11,7 @@ from morseideals import (
     VariableContext,
     bm_matching,
     build_taylor,
+    critical_cells,
     critical_family,
     cycle_edge_ideal,
     homology_ranks,
@@ -19,6 +21,7 @@ from morseideals import (
     parse_ideal,
     ranks,
     trimmed_matching,
+    validate_matching,
     verify_complex,
 )
 from morseideals.algebra import MAX_EXPONENT
@@ -36,6 +39,7 @@ from conftest import (
     reference_morse_differential,
     taylor_chain_complex,
     transfer,
+    trimmed_union,
     unchecked_monomial,
 )
 
@@ -111,8 +115,7 @@ def test_morse_complex_running_ideal(run4):
 
 def test_morse_trimmed_family(run4):
     tc = build_taylor(run4)
-    family = critical_family(tc, lyubeznik_matching(tc))
-    mc = morse_differential(tc, trimmed_matching(tc, (0, 1, 2, 3)), family)
+    mc = morse_differential(tc, trimmed_union(tc, (0, 1, 2, 3)))
     assert ranks(mc) == [1, 4, 4, 1, 0]
     assert verify_complex(mc)
     assert is_minimal(mc)
@@ -179,25 +182,21 @@ def test_morse_rejects_a_label_that_fails_in_one_field(run4, cell, label, kind, 
 
 
 def test_a_warmed_entry_memo_still_rejects_a_label_that_does_not_divide(run4):
-    # the cells without generator 0 (or 3) avoid the doctored label, so the
-    # first complex succeeds and fills the memo that the second one reads
-    cases = [(0b0001, "w^3*y*z", "empty", "0x1 does not divide the lcm of cell 0x3", 0)]
-    cases += [(0b1001, "w^5*x*y*z", "lyubeznik", "0x9 does not divide the lcm of cell 0xd", 3)]
-    for cell, label, kind, pair, avoided in cases:
+    # a complex with the doctored label among its labels but on no cell packs
+    # them as the broken one does, so its memo serves the broken complex
+    cases = [(0b0001, "w^3*y*z", "empty", "0x1 does not divide the lcm of cell 0x3")]
+    cases += [(0b1001, "w^5*x*y*z", "lyubeznik", "0x9 does not divide the lcm of cell 0xd")]
+    for cell, label, kind, pair in cases:
         tc = build_taylor(run4)
         matching = lyubeznik_matching(tc) if kind == "lyubeznik" else Matching.from_pairs(())
         broken = _relabelled(tc, cell, label)
-        family = [c for c in range(16) if not c >> avoided & 1]
-        warm = morse_differential(broken, Matching.from_pairs(()), family)
+        healthy = TaylorComplex(tc.ideal, broken.labels, tc.cell_label)
+        assert healthy.packed_labels() == broken.packed_labels()
+        warm = morse_differential(healthy, Matching.from_pairs(()))
+        broken._entries = healthy._entries
         assert warm.differentials[0].entries and broken._entries
         with pytest.raises(ValueError, match=f"^lcm of cell {pair}$"):
             morse_differential(broken, matching)
-
-
-def test_morse_family_closure_checked(run4):
-    tc = build_taylor(run4)
-    with pytest.raises(ValueError, match="closed"):
-        morse_differential(tc, Matching.from_pairs(()), family=[0, 0b0011])
 
 
 def _with_entry(mc, degree, key, change):
@@ -250,21 +249,18 @@ def test_zero_and_single_generator_complexes():
 
 
 def _check_matchings(ideal):
-    """The Taylor complex and the ``(matching, family)`` of every ``check``
-    kind: bm, lyubeznik, trimmed, empty."""
+    """The Taylor complex and the matching of every ``check`` kind's
+    complex: bm, lyubeznik, trimmed (with the Lyubeznik matching), empty."""
     tc = build_taylor(ideal)
-    lyu = lyubeznik_matching(tc)
-    trimmed = trimmed_matching(tc, tuple(range(ideal.n)))
-    empty = Matching.from_pairs(())
-    family = critical_family(tc, lyu)
-    return tc, [(bm_matching(tc), None), (lyu, None), (trimmed, family), (empty, None)]
+    trimmed = trimmed_union(tc, range(ideal.n))
+    return tc, [bm_matching(tc), lyubeznik_matching(tc), trimmed, Matching.from_pairs(())]
 
 
 def _check_complexes(ideal):
     """The complexes of every ``check`` kind: bm, lyubeznik, trimmed, empty."""
     tc, kinds = _check_matchings(ideal)
-    for matching, family in kinds:
-        yield morse_differential(tc, matching, family)
+    for matching in kinds:
+        yield morse_differential(tc, matching)
 
 
 def _assert_equals_the_reference(ideal):
@@ -272,9 +268,9 @@ def _assert_equals_the_reference(ideal):
     to the insertion order of each entry dict."""
     tc, kinds = _check_matchings(ideal)
     complexes = []
-    for matching, family in kinds:
-        got = morse_differential(tc, matching, family)
-        want = reference_morse_differential(tc, matching, family)
+    for matching in kinds:
+        got = morse_differential(tc, matching)
+        want = reference_morse_differential(tc, matching)
         assert got == want, ideal
         for mine, theirs in zip(got.differentials, want.differentials):
             assert list(mine.entries.items()) == list(theirs.entries.items()), ideal
@@ -310,15 +306,48 @@ def test_morse_differential_equals_the_entry_reference_on_the_corpus():
         _assert_equals_the_reference(ideal)
 
 
+def _assert_union_is_the_family_complex(ideal, rng):
+    """Under the identity, the reversed and a seeded second order, the
+    union of the trimmed and Lyubeznik matchings validates as the trimmed
+    matching does, its critical cells are the Lyubeznik-critical cells that
+    the trimmed matching leaves untouched, and its complex is that of the
+    trimmed matching over the Lyubeznik-critical family."""
+    tc = build_taylor(ideal)
+    n = ideal.n
+    family = critical_family(tc, lyubeznik_matching(tc))
+    for order2 in (tuple(range(n)), tuple(reversed(range(n))), tuple(rng.sample(range(n), n))):
+        where = (ideal, order2)
+        trimmed = trimmed_matching(tc, order2)
+        union = trimmed_union(tc, order2)
+        report = validate_matching(tc, trimmed)
+        assert report.all_ok and validate_matching(tc, union) == report, where
+        untouched = [c for c in family if c not in trimmed.touched]
+        groups = [[c for c in untouched if c.bit_count() == k] for k in range(n, 0, -1)]
+        assert critical_cells(tc, union) == groups, where
+        want = reference_morse_differential(tc, trimmed, family)
+        assert morse_differential(tc, union) == want, where
+
+
+@pytest.mark.parametrize("name", [*(f"C{n}" for n in range(3, 10)), "power", "ex56", "run4"])
+def test_trimmed_union_is_the_family_complex(name):
+    _assert_union_is_the_family_complex(_named_ideal(name), random.Random(name))
+
+
+def test_trimmed_union_is_the_family_complex_on_the_corpus(corpus):
+    rng = random.Random(31)
+    for ideal in corpus:
+        _assert_union_is_the_family_complex(ideal, rng)
+
+
 def _assert_one_taylor_complex_equals_fresh_ones(ideal):
     """The ``check`` kinds built on one Taylor complex, in the ``check``
     order and in reverse, equal each kind built on a fresh one, down to the
     insertion order of each entry dict."""
     _, kinds = _check_matchings(ideal)
-    fresh = [morse_differential(build_taylor(ideal), m, f) for m, f in kinds]
+    fresh = [morse_differential(build_taylor(ideal), m) for m in kinds]
     for order in (kinds, kinds[::-1]):
         tc = build_taylor(ideal)
-        shared = [morse_differential(tc, m, f) for m, f in order]
+        shared = [morse_differential(tc, m) for m in order]
         if order is not kinds:
             shared.reverse()
         assert shared == fresh, ideal
@@ -342,8 +371,8 @@ def test_complexes_of_one_taylor_complex_equal_fresh_ones_on_the_corpus(corpus):
 def test_complexes_of_one_taylor_complex_share_their_entries():
     tc, kinds = _check_matchings(cycle_edge_ideal(6))
     seen = {}
-    for matching, family in kinds:
-        for matrix in morse_differential(tc, matching, family).differentials:
+    for matching in kinds:
+        for matrix in morse_differential(tc, matching).differentials:
             for entry in matrix.entries.values():
                 key = (entry.coefficient, entry.monomial_factor)
                 assert seen.setdefault(key, entry) is entry
